@@ -20,7 +20,6 @@
 #include "core/telemetry.hh"
 #include "model/cross_validation.hh"
 #include "model/grid_search.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/rng.hh"
 #include "parallel_report.hh"
 #include "sim/sample_space.hh"
@@ -67,9 +66,6 @@ main(int argc, char **argv)
     auto recorder = telemetry::Recorder::fromArgs(argc, argv);
     // Chaos drills: `--failpoints "site=nth:2"` or WCNN_FAILPOINTS.
     wcnn::core::failpoint::installFromArgs(argc, argv);
-    // `--kernels reference|fast` (or WCNN_KERNELS) picks the numeric
-    // kernel policy for the whole pipeline under measurement.
-    numeric::kernels::installFromArgs(argc, argv);
     std::size_t threads = bench::parseThreads(argc, argv, 0);
     if (threads == 0)
         threads = core::hardwareThreads();

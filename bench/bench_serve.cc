@@ -32,7 +32,6 @@
 
 #include "data/standardizer.hh"
 #include "nn/mlp.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
 #include "serve/engine.hh"
@@ -166,9 +165,6 @@ argString(int argc, char **argv, const char *flag,
 int
 main(int argc, char **argv)
 {
-    // `--kernels reference|fast` (or WCNN_KERNELS) picks the numeric
-    // kernel policy the served bundle predicts with.
-    wcnn::numeric::kernels::installFromArgs(argc, argv);
     LoadgenOptions load;
     load.clients = argValue(argc, argv, "--clients", 8);
     load.requestsPerClient = argValue(argc, argv, "--requests", 800);

@@ -7,8 +7,9 @@
  *  fit the final surrogate -> persist everything for later analysis.
  *
  * Outputs (current directory):
- *  - workload_samples.csv  the collected sample set
- *  - workload_model.txt    the trained network's weights and biases
+ *  - workload_samples.csv    the collected sample set
+ *  - workload_model.bundle   the surrogate as a ModelBundle (network,
+ *                            standardizers and column schema)
  *
  * Run: ./build/examples/characterize_3tier [--fast]
  *   --fast uses the closed-form analytic workload instead of the
@@ -20,7 +21,7 @@
 
 #include "data/csv.hh"
 #include "model/study.hh"
-#include "nn/serialize.hh"
+#include "serve/bundle.hh"
 
 int
 main(int argc, char **argv)
@@ -62,11 +63,12 @@ main(int argc, char **argv)
                 study.cv.overallAccuracy() * 100.0);
 
     data::saveCsv(study.dataset, "workload_samples.csv");
-    nn::Serializer::save(study.finalModel.network(),
-                         "workload_model.txt");
-    study.finalModel.save("workload_model.txt.nn");
+    serve::ModelBundle::fromModel(study.finalModel,
+                                  study.dataset.inputs(),
+                                  study.dataset.outputs())
+        .save("workload_model.bundle");
     std::printf("\nwrote workload_samples.csv (%zu samples) and "
-                "workload_model.txt (%s)\n",
+                "workload_model.bundle (%s)\n",
                 study.dataset.size(),
                 study.finalModel.network().describe().c_str());
     std::printf("feed both to the tuning_advisor example for the "

@@ -9,8 +9,9 @@
  * constraint violations.
  *
  * Run: ./build/examples/tuning_advisor [--fast]
- *   Reuses workload_samples.csv from characterize_3tier when present;
- *   otherwise collects a fresh sample set (--fast: analytic source).
+ *   Reuses workload_samples.csv and workload_model.bundle from
+ *   characterize_3tier when present; otherwise collects a fresh
+ *   sample set (--fast: analytic source) and fits the surrogate.
  */
 
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "model/recommender.hh"
 #include "model/study.hh"
 #include "model/surface.hh"
+#include "serve/bundle.hh"
 
 int
 main(int argc, char **argv)
@@ -47,15 +49,18 @@ main(int argc, char **argv)
         samples = model::runStudy(opts).dataset;
     }
 
-    model::NnModel surrogate;
-    if (std::ifstream("workload_model.txt.nn").good()) {
-        surrogate = model::NnModel::load("workload_model.txt.nn");
-        std::printf("loaded surrogate from workload_model.txt.nn\n");
+    serve::ModelBundle bundle;
+    if (std::ifstream("workload_model.bundle").good()) {
+        bundle = serve::ModelBundle::load("workload_model.bundle");
+        std::printf("loaded surrogate from workload_model.bundle\n");
     } else {
-        surrogate.fit(samples);
+        model::NnModel fitted;
+        fitted.fit(samples);
+        bundle = serve::ModelBundle::fromModel(fitted, samples.inputs(),
+                                               samples.outputs());
     }
-    std::printf("surrogate: %s\n",
-                surrogate.network().describe().c_str());
+    const model::PerformanceModel &surrogate = bundle;
+    std::printf("surrogate: %s\n", bundle.describe().c_str());
 
     // Surface analysis at the paper's slice (560, x, 16, y).
     std::printf("\n-- surface taxonomy at (560, x, 16, y) --\n");

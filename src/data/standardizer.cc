@@ -4,7 +4,6 @@
 
 #include "core/contracts.hh"
 #include "numeric/kernels/fused.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/stats.hh"
 
 namespace wcnn {
@@ -65,16 +64,9 @@ Standardizer::transform(const numeric::Matrix &xs) const
     WCNN_REQUIRE(xs.cols() == dim(), "transform input has ", xs.cols(),
                  " columns, standardizer was fit on ", dim());
     numeric::Matrix out(xs.rows(), xs.cols());
-    if (numeric::kernels::policy() == numeric::kernels::KernelPolicy::Fast) {
-        // Same per-element expression as the row loop below; only the
-        // per-row vector copies are elided. Bit-identical.
-        numeric::kernels::standardizeRows(xs.data().data(),
-                                          out.data().data(), xs.rows(),
-                                          dim(), mu.data(), sigma.data());
-        return out;
-    }
-    for (std::size_t i = 0; i < xs.rows(); ++i)
-        out.setRow(i, transform(xs.row(i)));
+    numeric::kernels::standardizeRows(xs.data().data(), out.data().data(),
+                                      xs.rows(), dim(), mu.data(),
+                                      sigma.data());
     return out;
 }
 
@@ -95,15 +87,9 @@ Standardizer::inverse(const numeric::Matrix &zs) const
     WCNN_REQUIRE(zs.cols() == dim(), "inverse input has ", zs.cols(),
                  " columns, standardizer was fit on ", dim());
     numeric::Matrix out(zs.rows(), zs.cols());
-    if (numeric::kernels::policy() == numeric::kernels::KernelPolicy::Fast) {
-        numeric::kernels::destandardizeRows(zs.data().data(),
-                                            out.data().data(), zs.rows(),
-                                            dim(), mu.data(),
-                                            sigma.data());
-        return out;
-    }
-    for (std::size_t i = 0; i < zs.rows(); ++i)
-        out.setRow(i, inverse(zs.row(i)));
+    numeric::kernels::destandardizeRows(zs.data().data(),
+                                        out.data().data(), zs.rows(),
+                                        dim(), mu.data(), sigma.data());
     return out;
 }
 

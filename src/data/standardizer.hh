@@ -73,9 +73,9 @@ class Standardizer
     numeric::Vector transform(const numeric::Vector &x) const;
 
     /**
-     * Standardize a whole matrix row-wise. Under KernelPolicy::Fast
-     * the row loop runs as one kernels::standardizeRows pass
-     * (bit-identical; see numeric/kernels/policy.hh).
+     * Standardize a whole matrix row-wise in one
+     * kernels::standardizeRows pass: the per-element expression of
+     * transform(Vector), so bit-identical to it row by row.
      */
     numeric::Matrix transform(const numeric::Matrix &xs) const;
 
@@ -87,8 +87,8 @@ class Standardizer
     numeric::Vector inverse(const numeric::Vector &z) const;
 
     /**
-     * Undo the transform row-wise. Kernel-dispatched like the matrix
-     * transform(); bit-identical on both policies.
+     * Undo the transform row-wise in one kernels::destandardizeRows
+     * pass; bit-identical to inverse(Vector) row by row.
      */
     numeric::Matrix inverse(const numeric::Matrix &zs) const;
 

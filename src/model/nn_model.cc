@@ -1,10 +1,6 @@
 #include "nn_model.hh"
 
-#include <fstream>
-
 #include "core/contracts.hh"
-
-#include "nn/serialize.hh"
 #include "numeric/rng.hh"
 
 namespace wcnn {
@@ -59,78 +55,6 @@ NnModel::predictAll(const numeric::Matrix &xs) const
 {
     WCNN_REQUIRE(isFitted, "predictAll() before fit()");
     return yStd.inverse(net.forward(xStd.transform(xs)));
-}
-
-} // namespace model
-} // namespace wcnn
-
-namespace wcnn {
-namespace model {
-namespace {
-
-data::Standardizer
-readMoments(std::istream &is, const char *tag)
-{
-    numeric::Vector mu, sigma;
-    nn::Serializer::readMoments(is, tag, mu, sigma);
-    return data::Standardizer::fromMoments(std::move(mu),
-                                           std::move(sigma));
-}
-
-} // namespace
-
-void
-NnModel::save(std::ostream &os) const
-{
-    WCNN_REQUIRE(isFitted, "save() before fit()");
-    os << "wcnn-nn-model 1\n";
-    nn::Serializer::writeMoments(os, "x_moments", xStd.means(),
-                                 xStd.stddevs());
-    nn::Serializer::writeMoments(os, "y_moments", yStd.means(),
-                                 yStd.stddevs());
-    nn::Serializer::write(net, os);
-}
-
-void
-NnModel::save(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        throw nn::SerializeError("cannot open for writing: " + path);
-    save(os);
-    if (!os)
-        throw nn::SerializeError("write failed: " + path);
-}
-
-NnModel
-NnModel::load(std::istream &is)
-{
-    std::string magic;
-    int version = 0;
-    if (!(is >> magic >> version) || magic != "wcnn-nn-model" ||
-        version != 1) {
-        throw nn::SerializeError("not a wcnn-nn-model file");
-    }
-    NnModel mdl;
-    mdl.xStd = readMoments(is, "x_moments");
-    mdl.yStd = readMoments(is, "y_moments");
-    mdl.net = nn::Serializer::read(is);
-    if (mdl.net.inputDim() != mdl.xStd.dim() ||
-        mdl.net.outputDim() != mdl.yStd.dim()) {
-        throw nn::SerializeError(
-            "network arity does not match the stored moments");
-    }
-    mdl.isFitted = true;
-    return mdl;
-}
-
-NnModel
-NnModel::load(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        throw nn::SerializeError("cannot open for reading: " + path);
-    return load(is);
 }
 
 } // namespace model

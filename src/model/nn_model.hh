@@ -16,7 +16,6 @@
 #define WCNN_MODEL_NN_MODEL_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -113,37 +112,6 @@ class NnModel : public PerformanceModel
 
     /** Output standardizer fitted by fit(). */
     const data::Standardizer &outputTransform() const { return yStd; }
-
-    /**
-     * Persist the fitted model (standardizers + network) to a stream.
-     * The paper's phrase — "learned knowledge is kept in MLPs by
-     * memorizing their weights and biases" — plus the pre-processing
-     * moments needed to use them.
-     */
-    void save(std::ostream &os) const;
-
-    /**
-     * Persist to a file.
-     *
-     * @param path Destination path.
-     * @throws nn::SerializeError on I/O failure.
-     */
-    void save(const std::string &path) const;
-
-    /**
-     * Restore a fitted model from a stream.
-     *
-     * @throws nn::SerializeError on malformed input.
-     */
-    static NnModel load(std::istream &is);
-
-    /**
-     * Restore from a file.
-     *
-     * @param path Source path.
-     * @throws nn::SerializeError on I/O or parse failure.
-     */
-    static NnModel load(const std::string &path);
 
   private:
     NnModelOptions opts;

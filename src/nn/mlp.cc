@@ -7,7 +7,6 @@
 #include "core/contracts.hh"
 #include "numeric/kernels/arena.hh"
 #include "numeric/kernels/fused.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/rng.hh"
 
 namespace wcnn {
@@ -99,24 +98,7 @@ Mlp::forward(const numeric::Vector &x) const
 numeric::Matrix
 Mlp::forward(const numeric::Matrix &xs) const
 {
-    WCNN_REQUIRE(xs.cols() == nInputs, "forward input rows have ",
-                 xs.cols(), " dims, network expects ", nInputs);
-    if (numeric::kernels::policy() == numeric::kernels::KernelPolicy::Fast)
-        return fusedForward(xs, nullptr, nullptr, nullptr, nullptr);
-    numeric::Matrix out(xs.rows(), outputDim());
-    numeric::Vector act;
-    for (std::size_t r = 0; r < xs.rows(); ++r) {
-        act = xs.row(r);
-        for (std::size_t l = 0; l < specs.size(); ++l) {
-            numeric::Vector pre = weightsPerLayer[l] * act;
-            const Activation &fn = specs[l].activation;
-            for (std::size_t i = 0; i < pre.size(); ++i)
-                pre[i] = fn.value(pre[i] + biasesPerLayer[l][i]);
-            act = std::move(pre);
-        }
-        out.setRow(r, act);
-    }
-    return out;
+    return fusedForward(xs, nullptr, nullptr, nullptr, nullptr);
 }
 
 namespace {
@@ -183,7 +165,7 @@ applyBiasActivationLanes(double *dst, std::size_t units,
         }
         return;
     }
-    // Unknown kind (unreachable): fall back to the reference call.
+    // Unknown kind (unreachable): fall back to the per-element call.
     for (std::size_t u = 0; u < units; ++u) {
         double *pu = dst + u * stride;
         for (std::size_t r = 0; r < stride; ++r)
@@ -234,7 +216,7 @@ Mlp::fusedForward(const numeric::Matrix &xs,
     // through per-block ping/pong panels: every kernel then
     // vectorizes across independent row lanes with unit stride, the
     // weights are consumed row-major as stored, and each element's
-    // k-reduction stays a sequential chain in reference order.
+    // k-reduction stays a sequential chain in per-row order.
     constexpr std::size_t kRowBlock = 64;
     const std::size_t stride = std::min(kRowBlock, rows);
     double *ping = arena.alloc(widest * stride);
@@ -259,7 +241,7 @@ Mlp::fusedForward(const numeric::Matrix &xs,
             ker::denseLayerForwardLanes(
                 cur, weightsPerLayer[l].data().data(), nxt, stride,
                 fanin, units);
-            // Bias + activation exactly as the reference loop —
+            // Bias + activation exactly as forward(Vector) —
             // f(pre + bias) per element — with the kind dispatch
             // hoisted out of the hot loop.
             applyBiasActivationLanes(nxt, units, stride,

@@ -129,12 +129,9 @@ class Mlp
      * Bit-identical to calling forward(xs.row(i)) per row — the same
      * scalar operations run in the same order per sample — but without
      * the per-row vector allocations, which is what the surface-sweep
-     * and prediction hot paths want. Safe to call concurrently: the
-     * network is not mutated.
-     *
-     * Under KernelPolicy::Fast this routes to fusedForward() (without
-     * standardization stages), which is bit-identical by construction;
-     * see numeric/kernels/policy.hh.
+     * and prediction hot paths want: this is fusedForward() without
+     * standardization stages. Safe to call concurrently: the network
+     * is not mutated.
      *
      * @param xs One input per row; cols() must equal inputDim().
      * @return One output row per input row (rows() x outputDim()).
@@ -145,13 +142,13 @@ class Mlp
      * Fused batched forward over arena scratch, optionally bracketed
      * by standardize / destandardize passes (the serving hot path).
      *
-     * Runs the same per-element arithmetic as the reference
-     * composition standardize -> forward(Matrix) -> destandardize, in
+     * Runs the same per-element arithmetic as the per-row
+     * composition standardize -> forward(Vector) -> destandardize, in
      * the same order per output element, so results are bit-identical
      * (asserted by kernel_equivalence_test). The difference is purely
-     * mechanical: weights are packed transposed once, activations
-     * ping-pong between two arena buffers in row blocks, and no heap
-     * allocation happens after warm-up.
+     * mechanical: activations travel lane-major (one lane per row)
+     * and ping-pong between two arena buffers in row blocks, and no
+     * heap allocation happens after warm-up.
      *
      * Pass nullptr moment vectors to skip a standardization stage;
      * x_mu/x_sigma and y_mu/y_sigma must be given (or omitted) in

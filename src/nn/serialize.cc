@@ -1,7 +1,6 @@
 #include "serialize.hh"
 
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -154,26 +153,6 @@ Serializer::read(std::istream &is)
         fan_in = net.specs[l].units;
     }
     return net;
-}
-
-void
-Serializer::save(const Mlp &net, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        throw SerializeError("cannot open for writing: " + path);
-    write(net, os);
-    if (!os)
-        throw SerializeError("write failed: " + path);
-}
-
-Mlp
-Serializer::load(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        throw SerializeError("cannot open for reading: " + path);
-    return read(is);
 }
 
 void

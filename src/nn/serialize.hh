@@ -3,8 +3,9 @@
  * Text serialization of trained networks.
  *
  * The paper notes that "learned knowledge is kept in MLPs by memorizing
- * their weights and biases" — this module persists exactly that, so a
- * model trained once can be reloaded and queried (e.g. by the tuning
+ * their weights and biases" — this module writes exactly that, as the
+ * network section of the serve::ModelBundle artifact, so a model
+ * trained once can be reloaded and queried (e.g. by the tuning
  * advisor) without retraining.
  */
 
@@ -61,27 +62,9 @@ class Serializer
     static Mlp read(std::istream &is);
 
     /**
-     * Write a network to a file.
-     *
-     * @param net  Network to persist.
-     * @param path Destination path.
-     * @throws SerializeError if the file cannot be opened.
-     */
-    static void save(const Mlp &net, const std::string &path);
-
-    /**
-     * Read a network from a file.
-     *
-     * @param path Source path.
-     * @throws SerializeError if the file cannot be opened or parsed.
-     */
-    static Mlp load(const std::string &path);
-
-    /**
      * Write standardizer moments as one line,
      * "<tag> <d> mu_1..mu_d sigma_1..sigma_d", at full (%.17g)
-     * precision. Shared by the NnModel and ModelBundle artifact
-     * formats so the two can never drift apart.
+     * precision, as the ModelBundle artifact stores them.
      *
      * @param os    Destination stream.
      * @param tag   Line tag, e.g. "x_moments".

@@ -2,10 +2,10 @@
  * @file
  * 64-byte-aligned arena allocator for kernel scratch buffers.
  *
- * The fast kernel paths (batched forward, fused serving predict) need
- * short-lived activation and packed-weight buffers per call. Heap
- * allocation per call is exactly the overhead the fast path exists to
- * remove, so scratch comes from a bump arena instead: allocation is a
+ * The fused batched forward (Mlp::forward(Matrix), serving predict)
+ * needs short-lived activation buffers per call. Heap allocation per
+ * call is exactly the overhead the fused path exists to remove, so
+ * scratch comes from a bump arena instead: allocation is a
  * cursor increment, every returned pointer is 64-byte aligned (one
  * full cache line, and wide enough for any current or future vector
  * ISA this tree compiles to), and a Frame rewinds the cursor on scope

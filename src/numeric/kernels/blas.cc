@@ -1,31 +1,12 @@
 #include "blas.hh"
 
-#include <algorithm>
-
-#include "policy.hh"
-
 namespace wcnn {
 namespace numeric {
 namespace kernels {
 
-namespace {
-
-/**
- * Cache-block sizes for the fast GEMM, chosen so a B panel
- * (kBlockK x kBlockN doubles = 32 KiB) stays resident in L1d while a
- * row strip of A streams through. k-blocks are visited in ascending
- * order, which keeps every C element's accumulation sequence in
- * reference order (blocking reorders the loop *nest*, never the
- * per-element reduction).
- */
-constexpr std::size_t kBlockK = 64;
-constexpr std::size_t kBlockN = 64;
-
-} // namespace
-
 void
-gemmReference(const double *a, const double *b, double *c,
-              std::size_t m, std::size_t k, std::size_t n)
+gemm(const double *a, const double *b, double *c, std::size_t m,
+     std::size_t k, std::size_t n)
 {
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t kk = 0; kk < k; ++kk) {
@@ -41,52 +22,13 @@ gemmReference(const double *a, const double *b, double *c,
 }
 
 void
-gemmFast(const double *a, const double *b, double *c, std::size_t m,
-         std::size_t k, std::size_t n)
-{
-    for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
-        const std::size_t j1 = std::min(n, j0 + kBlockN);
-        for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
-            const std::size_t k1 = std::min(k, k0 + kBlockK);
-            for (std::size_t i = 0; i < m; ++i) {
-                const double *arow = a + i * k;
-                double *crow = c + i * n;
-                for (std::size_t kk = k0; kk < k1; ++kk) {
-                    const double aik = arow[kk];
-                    const double *brow = b + kk * n;
-                    // SIMD across independent output columns: each
-                    // c[i][j] still sees its k-products in ascending
-                    // order, so no reduction is reassociated.
-#pragma omp simd
-                    for (std::size_t j = j0; j < j1; ++j)
-                        crow[j] += aik * brow[j];
-                }
-            }
-        }
-    }
-}
-
-void
-gemvReference(const double *a, const double *x, double *y,
-              std::size_t m, std::size_t n)
-{
-    for (std::size_t i = 0; i < m; ++i) {
-        double acc = 0.0;
-        const double *row = a + i * n;
-        for (std::size_t j = 0; j < n; ++j)
-            acc += row[j] * x[j];
-        y[i] = acc;
-    }
-}
-
-void
-gemvFast(const double *a, const double *x, double *y, std::size_t m,
-         std::size_t n)
+gemv(const double *a, const double *x, double *y, std::size_t m,
+     std::size_t n)
 {
     std::size_t i = 0;
     // Four rows share each load of x[j]; every accumulator still adds
-    // its products in ascending j, so y is bit-identical to the
-    // reference per-row dot.
+    // its products in ascending j, so y is bit-identical to a per-row
+    // sequential dot.
     for (; i + 4 <= m; i += 4) {
         const double *r0 = a + (i + 0) * n;
         const double *r1 = a + (i + 1) * n;
@@ -114,21 +56,6 @@ gemvFast(const double *a, const double *x, double *y, std::size_t m,
     }
 }
 
-void
-axpyReference(double alpha, const double *x, double *y, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; ++j)
-        y[j] += alpha * x[j];
-}
-
-void
-axpyFast(double alpha, const double *x, double *y, std::size_t n)
-{
-#pragma omp simd
-    for (std::size_t j = 0; j < n; ++j)
-        y[j] += alpha * x[j];
-}
-
 double
 seqDotMinus(double init, const double *a, const double *b,
             std::size_t n)
@@ -137,39 +64,6 @@ seqDotMinus(double init, const double *a, const double *b,
     for (std::size_t j = 0; j < n; ++j)
         acc -= a[j] * b[j];
     return acc;
-}
-
-void
-gemm(const double *a, const double *b, double *c, std::size_t m,
-     std::size_t k, std::size_t n)
-{
-    if (m == 0 || n == 0 || k == 0)
-        return;
-    if (policy() == KernelPolicy::Fast)
-        gemmFast(a, b, c, m, k, n);
-    else
-        gemmReference(a, b, c, m, k, n);
-}
-
-void
-gemv(const double *a, const double *x, double *y, std::size_t m,
-     std::size_t n)
-{
-    if (m == 0)
-        return;
-    if (policy() == KernelPolicy::Fast)
-        gemvFast(a, x, y, m, n);
-    else
-        gemvReference(a, x, y, m, n);
-}
-
-void
-axpy(double alpha, const double *x, double *y, std::size_t n)
-{
-    if (policy() == KernelPolicy::Fast)
-        axpyFast(alpha, x, y, n);
-    else
-        axpyReference(alpha, x, y, n);
 }
 
 } // namespace kernels

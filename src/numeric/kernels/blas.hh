@@ -1,31 +1,17 @@
 /**
  * @file
- * Dense BLAS-style kernels behind the KernelPolicy dispatch point.
+ * Dense BLAS-style kernels under the Matrix operators.
  *
  * All kernels operate on raw row-major double buffers so they serve
  * both the Matrix operators and the arena-backed fused serving path
- * without copies. Two implementations exist per kernel:
+ * without copies. There is one implementation per kernel (DESIGN.md
+ * §5.6 gives the measurements behind each choice), and each keeps
+ * every output element's accumulation in the original scalar order,
+ * so results are bit-identical to the plain loops the goldens were
+ * pinned on. tests/kernel_equivalence_test.cc checks that against
+ * oracles kept in the test itself.
  *
- *   - *Reference: the original scalar loops from matrix.cc, moved
- *     here verbatim (same operations, same order, including the GEMM
- *     zero-skip) so every golden stays bit-identical.
- *   - *Fast: cache-blocked, contiguous, `#pragma omp simd`-annotated
- *     variants. They vectorize only across NON-reduction lanes
- *     (output columns / output units), so every output element still
- *     accumulates its products in exactly the reference order:
- *       gemv/axpy/dot-style kernels are bit-identical by
- *       construction;
- *       gemm drops the reference's `if (a == 0.0) continue` skip, so
- *       when A holds exact zeros an accumulator may absorb a signed
- *       zero the reference never added. That changes at most the
- *       sign of a zero (+0.0 vs -0.0) and is the entire documented
- *       <= 4 ULP budget of the fast GEMM (in practice 0 ULP with
- *       ulpDistance treating +-0.0 as equal).
- *
- * The dispatching entry points (gemm/gemv/axpy/seqDotMinus) pick the
- * implementation from kernels::policy(); the policy-pinned variants
- * are exported so the equivalence harness can compare the two sides
- * directly. Everything here is free of global state and safe to call
+ * Everything here is free of global state and safe to call
  * concurrently; scratch, where needed, comes from the caller.
  */
 
@@ -38,60 +24,33 @@ namespace wcnn {
 namespace numeric {
 namespace kernels {
 
-// Dispatching entry points -------------------------------------------
-
 /**
  * C = A * B for row-major buffers: A is m x k, B is k x n, C is
- * m x n and must be zero-initialized by the caller (both
- * implementations accumulate into it, mirroring Matrix::operator*).
+ * m x n and must be zero-initialized by the caller (the kernel
+ * accumulates into it). An ikj loop that skips zero entries of A, so
+ * a skipped 0 * inf never turns into NaN.
  */
 void gemm(const double *a, const double *b, double *c, std::size_t m,
           std::size_t k, std::size_t n);
 
-/** y = A * x for a row-major m x n A; y holds m elements. */
+/**
+ * y = A * x for a row-major m x n A; y holds m elements. Four rows
+ * share each load of x[j], but every row keeps its own accumulator
+ * adding its products in ascending j from 0.0 — a per-row sequential
+ * dot product.
+ */
 void gemv(const double *a, const double *x, double *y, std::size_t m,
           std::size_t n);
-
-/** y += alpha * x over n elements. */
-void axpy(double alpha, const double *x, double *y, std::size_t n);
 
 /**
  * init - a[0]*b[0] - a[1]*b[1] - ... - a[n-1]*b[n-1], subtracted in
  * index order — the accumulation shape of the Cholesky inner loops
- * in linalg.cc. Sequential on both policies (a serial subtraction
- * chain cannot be reassociated without changing bits), routed here
- * so linalg's raw element loops live in the kernel layer (lint R8).
+ * in linalg.cc (a serial subtraction chain cannot be reassociated
+ * without changing bits), routed here so linalg's raw element loops
+ * live in the kernel layer (lint R8).
  */
 double seqDotMinus(double init, const double *a, const double *b,
                    std::size_t n);
-
-// Policy-pinned variants (equivalence harness + dispatch targets) ----
-
-/** Verbatim Matrix::operator*(Matrix) loop: ikj with zero-skip. */
-void gemmReference(const double *a, const double *b, double *c,
-                   std::size_t m, std::size_t k, std::size_t n);
-
-/** Cache-blocked ikj GEMM, SIMD across columns, no zero-skip. */
-void gemmFast(const double *a, const double *b, double *c,
-              std::size_t m, std::size_t k, std::size_t n);
-
-/** Verbatim Matrix::operator*(Vector) loop: per-row sequential dot. */
-void gemvReference(const double *a, const double *x, double *y,
-                   std::size_t m, std::size_t n);
-
-/**
- * Four-row register-blocked GEMV. Each row keeps its own sequential
- * accumulator, so results are bit-identical to gemvReference.
- */
-void gemvFast(const double *a, const double *x, double *y,
-              std::size_t m, std::size_t n);
-
-/** Scalar y += alpha * x. */
-void axpyReference(double alpha, const double *x, double *y,
-                   std::size_t n);
-
-/** SIMD y += alpha * x (elementwise, no reduction: bit-identical). */
-void axpyFast(double alpha, const double *x, double *y, std::size_t n);
 
 } // namespace kernels
 } // namespace numeric

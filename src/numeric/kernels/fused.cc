@@ -77,7 +77,7 @@ denseLayerForwardLanes(const double *actT, const double *w,
 {
     // Units go in pairs so each activation tile is loaded once and
     // feeds two output units; every lane's accumulator still adds its
-    // k-products in ascending order from 0.0 — the reference
+    // k-products in ascending order from 0.0 — the per-row
     // dot-product order — so pairing changes nothing but the load
     // count.
     std::size_t u = 0;

@@ -3,9 +3,10 @@
  * Primitives of the fused standardize -> forward -> destandardize
  * serving path.
  *
- * ModelBundle::predictAll's reference composition allocates a handful
+ * The per-row composition (ModelBundle::predict) allocates a handful
  * of vectors per row (row copy, transform result, per-layer
- * pre-activations, inverse result). The fused fast path runs the same
+ * pre-activations, inverse result). The fused path behind
+ * Mlp::forward(Matrix) and ModelBundle::predictAll runs the same
  * arithmetic over arena scratch in row blocks: zero heap traffic and
  * one pass per stage.
  *
@@ -16,11 +17,11 @@
  * per lane, never reassociated. That is the bit-identity argument:
  *   standardize     z = (x - mu) / sigma         (same expression)
  *   dense layer     pre[u] = sum_k W[u][k] * act[k], ascending k,
- *                   accumulator starting at 0.0   (gemvReference's
- *                   exact order, one chain per lane)
+ *                   accumulator starting at 0.0   (gemv's exact
+ *                   order, one chain per lane)
  *   destandardize   y = z * sigma + mu           (same expression)
  * The kernel-equivalence harness asserts bitwise equality of the
- * whole fused path against the reference composition.
+ * whole fused path against the per-row composition.
  *
  * The transposed layout also means the weights are consumed row-major
  * exactly as stored — no packing pass — and an 8-lane register tile
@@ -76,10 +77,10 @@ void transposeToLanes(const double *x, double *xt, std::size_t nb,
 /**
  * Lane-major dense layer: preT[u][r] = sum_k w[u][k] * actT[k][r]
  * for every lane r in [0, stride), k ascending from an accumulator
- * starting at 0.0 — gemvReference's per-element order. actT is
+ * starting at 0.0 — gemv's per-element order. actT is
  * fanin x stride, w is the layer's row-major units x fanin weights
  * as stored, preT is units x stride and is overwritten. Bias and
- * activation are applied by the caller (they follow the reference
+ * activation are applied by the caller (they follow the per-row
  * expression f(pre + bias) exactly). The three panels must not
  * overlap.
  */

@@ -9,10 +9,10 @@
  * (features x features), so O(n^3) dense algorithms are appropriate.
  *
  * Dense inner products route through the kernel layer
- * (numeric/kernels/): the Matrix products used by leastSquares pick
- * up the KernelPolicy dispatch, and the Cholesky recurrences run on
+ * (numeric/kernels/): the Matrix products used by leastSquares run
+ * kernels::gemm, and the Cholesky recurrences run on
  * kernels::seqDotMinus, which preserves the original subtraction
- * order bit-for-bit on every policy.
+ * order bit-for-bit.
  */
 
 #ifndef WCNN_NUMERIC_LINALG_HH

@@ -88,9 +88,7 @@ Matrix::operator*(const Matrix &other) const
 {
     WCNN_REQUIRE(nCols == other.nRows, "product shape mismatch: ", nRows, "x",
                  nCols, " * ", other.nRows, "x", other.nCols);
-    // The product loops live in the kernel layer behind the
-    // KernelPolicy dispatch point; the Reference path is the original
-    // ikj loop of this operator, moved verbatim.
+    // The product loop lives in the kernel layer (lint R8).
     Matrix out(nRows, other.nCols);
     kernels::gemm(elems.data(), other.elems.data(), out.elems.data(),
                   nRows, nCols, other.nCols);

@@ -126,17 +126,14 @@ class Matrix
     Matrix transposed() const;
 
     /**
-     * Matrix product; cols() must equal other.rows(). Routed through
-     * the kernel dispatch point (numeric/kernels/policy.hh): the
-     * default Reference policy runs the pinned scalar loop, the Fast
-     * policy the blocked SIMD kernel (<= 4 ULP, see blas.hh).
+     * Matrix product; cols() must equal other.rows(). Runs
+     * kernels::gemm (numeric/kernels/blas.hh).
      */
     Matrix operator*(const Matrix &other) const;
 
     /**
-     * Matrix-vector product; v.size() must equal cols(). Kernel-
-     * dispatched like operator*(Matrix); both policies are
-     * bit-identical for GEMV.
+     * Matrix-vector product; v.size() must equal cols(). Runs
+     * kernels::gemv: one sequential dot product per row.
      */
     Vector operator*(const Vector &v) const;
 

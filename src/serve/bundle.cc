@@ -7,7 +7,6 @@
 #include "core/failpoint.hh"
 #include "model/nn_model.hh"
 #include "nn/serialize.hh"
-#include "numeric/kernels/policy.hh"
 
 namespace wcnn {
 namespace serve {
@@ -21,7 +20,7 @@ constexpr int version = 1;
  * error, never drive a huge allocation. */
 constexpr std::size_t maxCount = 1u << 20;
 
-/** Synthesized column names for legacy artifacts without a schema. */
+/** Synthesized column names for bundles built without a schema. */
 std::vector<std::string>
 syntheticNames(const char *prefix, std::size_t n)
 {
@@ -85,7 +84,7 @@ readStandardizer(std::istream &is, const char *tag)
                                            std::move(sigma));
 }
 
-/** Shared arity validation for every load path. */
+/** Arity validation of a loaded bundle. */
 void
 requireConsistent(const nn::Mlp &net, const data::Standardizer &x_std,
                   const data::Standardizer &y_std,
@@ -177,15 +176,12 @@ ModelBundle::predictAll(const numeric::Matrix &xs) const
     WCNN_REQUIRE(isLoaded, "predictAll() on an empty bundle");
     WCNN_REQUIRE(xs.cols() == net.inputDim(), "bundle expects ",
                  net.inputDim(), " inputs, got ", xs.cols());
-    if (numeric::kernels::policy() == numeric::kernels::KernelPolicy::Fast) {
-        // Fused standardize -> forward -> destandardize over arena
-        // scratch: one intermediate matrix instead of three, zero heap
-        // traffic after warm-up, bit-identical to the composition
-        // below (kernel_equivalence_test pins this).
-        return net.fusedForward(xs, &xStd.means(), &xStd.stddevs(),
-                                &yStd.means(), &yStd.stddevs());
-    }
-    return yStd.inverse(net.forward(xStd.transform(xs)));
+    // Fused standardize -> forward -> destandardize over arena
+    // scratch: no intermediate matrices, zero heap traffic after
+    // warm-up, bit-identical to predict() per row
+    // (kernel_equivalence_test pins this).
+    return net.fusedForward(xs, &xStd.means(), &xStd.stddevs(),
+                            &yStd.means(), &yStd.stddevs());
 }
 
 void
@@ -229,61 +225,30 @@ ModelBundle::load(std::istream &is)
     if (!(is >> file_magic))
         throw nn::SerializeError("empty model artifact");
 
-    ModelBundle bundle;
+    // The older `wcnn-nn-model` and bare `wcnn-mlp` formats are
+    // refused like any other magic: neither records the column
+    // schema, and a bare network carries no standardizer moments, so
+    // loading one means guessing them — and a guess predicts silently
+    // wrong.
+    if (file_magic != magic)
+        throw nn::SerializeError("not a " + std::string(magic) +
+                                 " artifact (magic '" + file_magic +
+                                 "'); re-fit it with `wcnn fit`");
+    long long file_version = 0;
+    if (!(is >> file_version) || file_version != version)
+        throw nn::SerializeError("unsupported bundle version");
 
-    if (file_magic == magic) {
-        long long file_version = 0;
-        if (!(is >> file_version) || file_version != version)
-            throw nn::SerializeError("unsupported bundle version");
-        std::string token;
-        if (!(is >> token) || token != "tag")
-            throw nn::SerializeError("expected tag");
-        if (!(is >> bundle.versionTag))
-            throw nn::SerializeError("truncated tag");
-        bundle.xNames = readNames(is, "inputs");
-        bundle.yNames = readNames(is, "outputs");
-        bundle.xStd = readStandardizer(is, "x_moments");
-        bundle.yStd = readStandardizer(is, "y_moments");
-        bundle.net = nn::Serializer::read(is);
-    } else if (file_magic == "wcnn-nn-model") {
-        // Legacy NnModel artifact: moments + weights, no schema.
-        long long file_version = 0;
-        if (!(is >> file_version) || file_version != 1)
-            throw nn::SerializeError("unsupported wcnn-nn-model version");
-        bundle.xStd = readStandardizer(is, "x_moments");
-        bundle.yStd = readStandardizer(is, "y_moments");
-        bundle.net = nn::Serializer::read(is);
-        bundle.xNames = syntheticNames("x", bundle.net.inputDim());
-        bundle.yNames = syntheticNames("y", bundle.net.outputDim());
-        bundle.versionTag = "legacy-nn-model";
-        bundle.note =
-            "deprecated wcnn-nn-model artifact (no schema names); "
-            "re-save as a wcnn-bundle with `wcnn fit`";
-    } else if (file_magic == "wcnn-mlp") {
-        // Bare-network artifact: the historical trap this type closes —
-        // no moments at all, so predictions silently skipped
-        // standardization unless the caller re-derived it by hand.
-        // Loading applies identity standardizers, which reproduces
-        // the old raw-weights behaviour, and warns loudly.
-        std::ostringstream rest;
-        rest << file_magic;
-        rest << is.rdbuf();
-        std::istringstream replay(rest.str());
-        bundle.net = nn::Serializer::read(replay);
-        bundle.xStd = data::Standardizer::identity(bundle.net.inputDim());
-        bundle.yStd =
-            data::Standardizer::identity(bundle.net.outputDim());
-        bundle.xNames = syntheticNames("x", bundle.net.inputDim());
-        bundle.yNames = syntheticNames("y", bundle.net.outputDim());
-        bundle.versionTag = "legacy-mlp";
-        bundle.note =
-            "deprecated bare wcnn-mlp artifact: no standardizer "
-            "moments are stored, predictions assume UNSTANDARDIZED "
-            "training; re-train and save a wcnn-bundle with `wcnn fit`";
-    } else {
-        throw nn::SerializeError("not a wcnn model artifact (magic '" +
-                                 file_magic + "')");
-    }
+    ModelBundle bundle;
+    std::string token;
+    if (!(is >> token) || token != "tag")
+        throw nn::SerializeError("expected tag");
+    if (!(is >> bundle.versionTag))
+        throw nn::SerializeError("truncated tag");
+    bundle.xNames = readNames(is, "inputs");
+    bundle.yNames = readNames(is, "outputs");
+    bundle.xStd = readStandardizer(is, "x_moments");
+    bundle.yStd = readStandardizer(is, "y_moments");
+    bundle.net = nn::Serializer::read(is);
 
     requireConsistent(bundle.net, bundle.xStd, bundle.yStd,
                       bundle.xNames, bundle.yNames);

@@ -6,25 +6,17 @@
  * after training, and a bare Mlp is not enough to query correctly:
  * predictions are computed as yStd.inverse(net.forward(xStd.transform(x))),
  * so the standardizer moments are as much "the model" as the weights
- * are. Historically the tree had two artifact formats — bare
- * `wcnn-mlp` files (weights only; the caller silently re-derived the
- * standardizers from the training CSV, or worse, forgot to) and
- * `wcnn-nn-model` files (moments + weights, no schema). ModelBundle
- * closes the gap: one versioned artifact holding the network, both
- * standardizers, and the column schema (input/output names), so the
- * CLI and the inference server share a single load path and can never
- * disagree on standardization.
+ * are. ModelBundle is the one artifact format: a versioned file
+ * (`wcnn-bundle 1`) holding the network, both standardizers, and the
+ * column schema (input/output names), so the CLI and the inference
+ * server share a single load path and can never disagree on
+ * standardization.
  *
  * ModelBundle implements model::PerformanceModel, so everything that
  * scores through a fitted model — the recommender, surface sweeps,
  * the serving batcher — runs on a loaded bundle unchanged, and
  * ModelBundle::predict is bit-identical to NnModel::predict on the
  * same parameters by construction (same expression, same order).
- *
- * Legacy artifacts still load: `wcnn-nn-model` files get synthesized
- * x0../y0.. column names, `wcnn-mlp` files additionally get identity
- * standardizers; both set loadNote() to a deprecation warning the CLI
- * surfaces on stderr.
  */
 
 #ifndef WCNN_SERVE_BUNDLE_HH
@@ -93,11 +85,10 @@ class ModelBundle : public model::PerformanceModel
     using model::PerformanceModel::predictAll;
 
     /**
-     * Batched prediction through Mlp's matrix forward; bit-identical
-     * to the per-row loop (same scalar operations in the same order).
-     * Under KernelPolicy::Fast this is the fused serving hot path —
-     * Mlp::fusedForward with this bundle's standardizer moments —
-     * still bit-identical by construction.
+     * Batched prediction: the fused serving hot path,
+     * Mlp::fusedForward with this bundle's standardizer moments.
+     * Bit-identical to predict() per row (same scalar operations in
+     * the same order).
      */
     numeric::Matrix predictAll(const numeric::Matrix &xs) const override;
 
@@ -138,23 +129,15 @@ class ModelBundle : public model::PerformanceModel
     void save(const std::string &path) const;
 
     /**
-     * Read any supported artifact: `wcnn-bundle` (current),
-     * `wcnn-nn-model` (legacy, schema synthesized) or `wcnn-mlp`
-     * (legacy, identity standardizers + synthesized schema). Legacy
-     * loads set loadNote() to a deprecation warning.
+     * Read a `wcnn-bundle 1` artifact.
      *
-     * @throws nn::SerializeError on malformed input.
+     * @throws nn::SerializeError on malformed input or any other
+     *         magic (the message names the magic found).
      */
     static ModelBundle load(std::istream &is);
 
     /** Read from a file. @throws nn::SerializeError on failure. */
     static ModelBundle load(const std::string &path);
-
-    /**
-     * Deprecation warning produced by load() for legacy formats;
-     * empty for current-format artifacts.
-     */
-    const std::string &loadNote() const { return note; }
 
     /** Topology + schema summary for logs ("4 -> 16 logistic ..."). */
     std::string describe() const;
@@ -166,7 +149,6 @@ class ModelBundle : public model::PerformanceModel
     std::vector<std::string> xNames;
     std::vector<std::string> yNames;
     std::string versionTag = "untagged";
-    std::string note;
     bool isLoaded = false;
 };
 

@@ -19,8 +19,9 @@
  * demand byte-identical response streams, not just "similar
  * behaviour". The threaded engine stays the always-correct reference
  * implementation; the epoll engine is admitted through that gate,
- * exactly like the fast kernels are admitted through
- * kernel_equivalence_test (DESIGN.md §5.6, §5.7).
+ * exactly like the batched kernels are checked against their
+ * single-row oracles by kernel_equivalence_test (DESIGN.md §5.6,
+ * §5.7).
  */
 
 #ifndef WCNN_SERVE_ENGINE_HH

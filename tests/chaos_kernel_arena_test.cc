@@ -1,16 +1,16 @@
 /**
  * @file
- * Concurrency hammering for the kernel arena and the fast serving
+ * Concurrency hammering for the kernel arena and the fused serving
  * path, run under the `chaos` CTest label so the nightly ASan/TSan
  * sweeps pick it up:
  *
  *   - many threads hammer their own threadArena() simultaneously with
  *     interleaved alloc/Frame/reset cycles — any cross-thread sharing
  *     or lifetime bug is a sanitizer report;
- *   - concurrent fused predictAll calls under KernelPolicy::Fast must
- *     each produce the bit pattern of the single-threaded reference
- *     composition (the arena is per-thread scratch, so concurrency
- *     must be invisible in the results).
+ *   - concurrent fused predictAll calls must each produce the bit
+ *     pattern of the single-threaded per-row ModelBundle::predict
+ *     (the arena is per-thread scratch, so concurrency must be
+ *     invisible in the results).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "data/standardizer.hh"
 #include "nn/mlp.hh"
 #include "numeric/kernels/arena.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/matrix.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
@@ -117,12 +116,10 @@ TEST(ChaosKernelArenaTest, ConcurrentFusedPredictAllIsBitStable)
     for (double &e : xs.data())
         e = rng.uniform(-3.0, 3.0);
 
-    // Golden: the reference composition, single-threaded.
-    const Matrix expected = bundle.predictAll(xs);
-
-    // One guard on the spawning thread — the policy cell is global,
-    // so per-thread guards would race their save/restore pairs.
-    kernels::PolicyGuard guard(kernels::KernelPolicy::Fast);
+    // Golden: the per-row composition, single-threaded.
+    Matrix expected(xs.rows(), bundle.outputDim());
+    for (std::size_t r = 0; r < xs.rows(); ++r)
+        expected.setRow(r, bundle.predict(xs.row(r)));
 
     constexpr int threads = 8;
     constexpr int repeats = 25;

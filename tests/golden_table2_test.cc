@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "model/study.hh"
-#include "numeric/kernels/policy.hh"
 
 using wcnn::model::StudyOptions;
 using wcnn::model::StudyResult;
@@ -93,7 +92,7 @@ goldenStudyOptions()
     return opts;
 }
 
-/** The reference-policy golden study (run once). */
+/** The golden study (run once). */
 const StudyResult &
 goldenStudy()
 {
@@ -172,18 +171,6 @@ TEST(GoldenTable2Test, PinnedMetricsAndFitCurves)
         GTEST_SKIP() << "regeneration run; goldens printed above";
     }
 
-    expectGoldenValues(study);
-}
-
-TEST(GoldenTable2Test, FastKernelPolicyReproducesTheGoldens)
-{
-    // The fast-kernel admission bar for the full pipeline: the same
-    // study, dispatched through the blocked/SIMD kernels, must land on
-    // the SAME pinned constants at the SAME tolerances. There is no
-    // separate fast golden set — one set of numbers, two policies.
-    wcnn::numeric::kernels::PolicyGuard guard(
-        wcnn::numeric::kernels::KernelPolicy::Fast);
-    const StudyResult study = runStudy(goldenStudyOptions());
     expectGoldenValues(study);
 }
 

@@ -21,7 +21,6 @@
 
 #include "nn/loss.hh"
 #include "nn/mlp.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/rng.hh"
 
 using wcnn::nn::Activation;
@@ -133,9 +132,9 @@ activationPool()
             Activation::logarithmic(1.0)};
 }
 
-/** The fixed-net sweep, shared by both kernel-policy passes. */
-void
-checkEveryActivationOnSmallFixedNet()
+} // namespace
+
+TEST(GradientCheckTest, EveryActivationOnSmallFixedNet)
 {
     // One 3-4-2 network per activation family, including each family
     // as the *output* layer (gradients there skip the chain through
@@ -151,23 +150,6 @@ checkEveryActivationOnSmallFixedNet()
             t = rng.normal(0.0, 0.5);
         checkGradients(net, x, target);
     }
-}
-
-} // namespace
-
-TEST(GradientCheckTest, EveryActivationOnSmallFixedNet)
-{
-    checkEveryActivationOnSmallFixedNet();
-}
-
-TEST(GradientCheckTest, EveryActivationUnderFastKernelPolicy)
-{
-    // Same sweep with the fast kernels dispatched: backprop's forward
-    // passes route through gemv/gemm like everything else, so the
-    // analytic-vs-numeric agreement must hold under either policy.
-    wcnn::numeric::kernels::PolicyGuard guard(
-        wcnn::numeric::kernels::KernelPolicy::Fast);
-    checkEveryActivationOnSmallFixedNet();
 }
 
 TEST(GradientCheckTest, TenRandomTopologies)

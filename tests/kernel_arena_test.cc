@@ -1,6 +1,6 @@
 /**
  * @file
- * The arena allocator behind the fast kernel paths: alignment of every
+ * The arena allocator behind the fused kernel path: alignment of every
  * returned pointer, zero-size and odd-size requests, geometric chunk
  * growth, allocation-free reuse after reset(), mark/rewind (Frame)
  * semantics, and per-thread distinctness of threadArena(). The

@@ -7,14 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "data/metrics.hh"
 #include "model/linear_model.hh"
 #include "model/nn_model.hh"
 #include "model/rbf_model.hh"
-#include "nn/serialize.hh"
 #include "numeric/rng.hh"
 
 using wcnn::data::Dataset;
@@ -172,47 +169,6 @@ TEST(NnModelTest, LooseThresholdStopsEarlierThanTight)
     a.fit(ds);
     b.fit(ds);
     EXPECT_LE(a.lastTraining().epochs, b.lastTraining().epochs);
-}
-
-TEST(NnModelTest, SaveLoadRoundTripsExactly)
-{
-    const Dataset ds = bumpyDataset(40, 11);
-    NnModel original(quickOptions());
-    original.fit(ds);
-
-    std::stringstream ss;
-    original.save(ss);
-    const NnModel loaded = NnModel::load(ss);
-    ASSERT_TRUE(loaded.fitted());
-
-    Rng rng(12);
-    for (int t = 0; t < 20; ++t) {
-        const wcnn::numeric::Vector x{rng.uniform(1, 20),
-                                      rng.uniform(400, 600)};
-        const auto a = original.predict(x);
-        const auto b = loaded.predict(x);
-        for (std::size_t j = 0; j < a.size(); ++j)
-            EXPECT_DOUBLE_EQ(a[j], b[j]);
-    }
-}
-
-TEST(NnModelTest, SaveLoadFile)
-{
-    const std::string path = ::testing::TempDir() + "/wcnn_model.txt";
-    const Dataset ds = bumpyDataset(30, 13);
-    NnModel original(quickOptions());
-    original.fit(ds);
-    original.save(path);
-    const NnModel loaded = NnModel::load(path);
-    EXPECT_DOUBLE_EQ(loaded.predict({10, 500})[0],
-                     original.predict({10, 500})[0]);
-    std::remove(path.c_str());
-}
-
-TEST(NnModelTest, LoadRejectsGarbage)
-{
-    std::stringstream ss("definitely-not-a-model 9");
-    EXPECT_THROW(NnModel::load(ss), wcnn::nn::SerializeError);
 }
 
 TEST(RbfModelTest, FitsBumpAndExposesNetwork)

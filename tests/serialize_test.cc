@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "nn/serialize.hh"
@@ -70,16 +69,6 @@ TEST(SerializeTest, RoundTripPreservesExactParameters)
     }
 }
 
-TEST(SerializeTest, FileSaveAndLoad)
-{
-    const std::string path = ::testing::TempDir() + "/wcnn_mlp.txt";
-    const Mlp net = randomNet(4);
-    Serializer::save(net, path);
-    const Mlp loaded = Serializer::load(path);
-    EXPECT_EQ(loaded.describe(), net.describe());
-    std::remove(path.c_str());
-}
-
 TEST(SerializeTest, RejectsBadMagic)
 {
     std::stringstream ss("not-a-model 1\n");
@@ -109,8 +98,3 @@ TEST(SerializeTest, RejectsUnknownActivation)
     EXPECT_THROW(Serializer::read(ss), SerializeError);
 }
 
-TEST(SerializeTest, MissingFileThrows)
-{
-    EXPECT_THROW(Serializer::load("/nonexistent/net.txt"),
-                 SerializeError);
-}

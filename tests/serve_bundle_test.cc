@@ -2,10 +2,9 @@
  * @file
  * ModelBundle: the deployable artifact. Pins the prediction identity
  * (predict == yStd.inverse(net.forward(xStd.transform(x))) exactly),
- * the bit-exact save/load round trip of the `wcnn-bundle` format, the
- * legacy-format load paths (bare `wcnn-mlp` and `wcnn-nn-model`, both
- * with a deprecation loadNote), and typed failures on malformed
- * artifacts.
+ * the bit-exact save/load round trip of the `wcnn-bundle` format, and
+ * typed failures on malformed artifacts and on the older
+ * `wcnn-nn-model` / bare `wcnn-mlp` formats.
  */
 
 #include <gtest/gtest.h>
@@ -71,7 +70,6 @@ TEST(ServeBundleTest, ExposesSchemaAndTag)
     EXPECT_EQ(bundle.outputNames(),
               (std::vector<std::string>{"u", "v"}));
     EXPECT_EQ(bundle.tag(), "test-tag");
-    EXPECT_TRUE(bundle.loadNote().empty());
 }
 
 TEST(ServeBundleTest, PredictComposesStandardizersAndNetwork)
@@ -113,7 +111,6 @@ TEST(ServeBundleTest, SaveLoadRoundTripsBitExact)
     EXPECT_EQ(loaded.inputNames(), bundle.inputNames());
     EXPECT_EQ(loaded.outputNames(), bundle.outputNames());
     EXPECT_EQ(loaded.tag(), bundle.tag());
-    EXPECT_TRUE(loaded.loadNote().empty());
 
     const Vector x{2.25, -0.5, 1.0};
     const Vector a = bundle.predict(x);
@@ -154,52 +151,36 @@ TEST(ServeBundleTest, FromModelMatchesNnModelPredict)
         EXPECT_EQ(got[j], want[j]);
 }
 
-TEST(ServeBundleTest, LegacyNnModelArtifactLoadsWithDeprecationNote)
+TEST(ServeBundleTest, LegacyFormatsRaiseTypedErrorNamingTheMagic)
 {
-    Dataset ds({"a", "b"}, {"y"});
-    Rng rng(13);
-    for (int i = 0; i < 16; ++i) {
-        const double a = rng.uniform(0, 2);
-        const double b = rng.uniform(0, 2);
-        ds.add({a, b}, {2 * a - b});
+    const ModelBundle bundle = makeBundle(13);
+    // The `wcnn-nn-model` layout: moments + network, no schema.
+    std::stringstream nn_model;
+    nn_model << "wcnn-nn-model 1\n";
+    Serializer::writeMoments(nn_model, "x_moments",
+                             bundle.inputTransform().means(),
+                             bundle.inputTransform().stddevs());
+    Serializer::writeMoments(nn_model, "y_moments",
+                             bundle.outputTransform().means(),
+                             bundle.outputTransform().stddevs());
+    Serializer::write(bundle.network(), nn_model);
+    // A bare network: weights only, no standardizer moments.
+    std::stringstream bare_mlp;
+    Serializer::write(bundle.network(), bare_mlp);
+
+    for (auto *artifact : {&nn_model, &bare_mlp}) {
+        const std::string magic =
+            artifact->str().substr(0, artifact->str().find(' '));
+        try {
+            (void)ModelBundle::load(*artifact);
+            ADD_FAILURE() << magic << " artifact loaded";
+        } catch (const SerializeError &e) {
+            EXPECT_EQ(e.kind(), "io.model");
+            EXPECT_NE(std::string(e.what()).find("'" + magic + "'"),
+                      std::string::npos)
+                << e.what();
+        }
     }
-    NnModelOptions opts;
-    opts.hiddenUnits = {3};
-    opts.train.maxEpochs = 20;
-    NnModel mdl(opts);
-    mdl.fit(ds);
-
-    std::stringstream legacy;
-    mdl.save(legacy); // writes the wcnn-nn-model format, no schema
-    const ModelBundle bundle = ModelBundle::load(legacy);
-
-    EXPECT_FALSE(bundle.loadNote().empty());
-    ASSERT_EQ(bundle.inputDim(), 2u); // synthesized x0.. names
-    ASSERT_EQ(bundle.inputNames().size(), 2u);
-    ASSERT_EQ(bundle.outputNames().size(), 1u);
-
-    const Vector x{0.75, 1.25};
-    const Vector want = mdl.predict(x);
-    const Vector got = bundle.predict(x);
-    for (std::size_t j = 0; j < got.size(); ++j)
-        EXPECT_EQ(got[j], want[j]);
-}
-
-TEST(ServeBundleTest, LegacyBareMlpLoadsWithIdentityStandardizers)
-{
-    const Mlp net = makeNet(17);
-    std::stringstream legacy;
-    Serializer::write(net, legacy); // bare wcnn-mlp, weights only
-    const ModelBundle bundle = ModelBundle::load(legacy);
-
-    EXPECT_FALSE(bundle.loadNote().empty());
-    // Identity standardizers: the bundle answers like the raw net.
-    const Vector x{0.1, -0.4, 2.0};
-    const Vector want = net.forward(x);
-    const Vector got = bundle.predict(x);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t j = 0; j < got.size(); ++j)
-        EXPECT_EQ(got[j], want[j]);
 }
 
 TEST(ServeBundleTest, MalformedArtifactThrowsTyped)

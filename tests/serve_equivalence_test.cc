@@ -3,8 +3,8 @@
  * The serving equivalence gate: epoll engine vs threaded reference.
  *
  * The repo's discipline for fast paths is "admitted only through an
- * equivalence gate" (kernel_equivalence_test pins the SIMD kernels to
- * the reference kernels bit-for-bit). This suite is the serving
+ * equivalence gate" (kernel_equivalence_test pins the batched kernels
+ * to their single-row oracles bit-for-bit). This suite is the serving
  * counterpart: the epoll EventServer earns its place by producing
  * BYTE-IDENTICAL response streams to the thread-per-connection
  * InferenceServer on the same scripted traffic — binary framing and

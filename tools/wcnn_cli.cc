@@ -15,9 +15,8 @@
  *   wcnn bench-serve --model m.bundle              serving benchmark
  *
  * fit writes a ModelBundle artifact (network + standardizers +
- * schema); predict/surface/recommend/serve all load through the same
- * bundle path, so legacy `wcnn-nn-model` / bare `wcnn-mlp` files keep
- * working with a deprecation warning on stderr.
+ * schema); predict/surface/recommend/serve all load it through
+ * ModelBundle::load, which accepts only that format.
  *
  * Every subcommand prints --help with its flags.
  */
@@ -51,7 +50,6 @@
 #include "model/recommender.hh"
 #include "model/surface.hh"
 #include "model/study.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/rng.hh"
 #include "scenario/library.hh"
 #include "serve/bundle.hh"
@@ -367,17 +365,6 @@ cmdFit(const Args &args)
     return 0;
 }
 
-/** Load any model artifact, surfacing the deprecation note. */
-serve::ModelBundle
-loadBundle(const char *cmd, const std::string &path)
-{
-    serve::ModelBundle bundle = serve::ModelBundle::load(path);
-    if (!bundle.loadNote().empty())
-        std::fprintf(stderr, "%s: %s\n", cmd,
-                     bundle.loadNote().c_str());
-    return bundle;
-}
-
 int
 cmdPredict(const Args &args)
 {
@@ -398,7 +385,7 @@ cmdPredict(const Args &args)
             stderr);
         return 2;
     }
-    const serve::ModelBundle mdl = loadBundle("predict", model_path);
+    const serve::ModelBundle mdl = serve::ModelBundle::load(model_path);
 
     if (args.has("stdin")) {
         // Streaming mode: the same load path the server uses, without
@@ -456,7 +443,7 @@ cmdSurface(const Args &args)
         std::fputs("surface: --model is required\n", stderr);
         return 2;
     }
-    const serve::ModelBundle mdl = loadBundle("surface", model_path);
+    const serve::ModelBundle mdl = serve::ModelBundle::load(model_path);
 
     model::SurfaceRequest req;
     req.axisA = 1;
@@ -506,7 +493,7 @@ cmdRecommend(const Args &args)
                    stderr);
         return 2;
     }
-    const serve::ModelBundle mdl = loadBundle("recommend", model_path);
+    const serve::ModelBundle mdl = serve::ModelBundle::load(model_path);
     const data::Dataset ds = data::loadCsv(data_path);
     const auto k = static_cast<std::size_t>(args.num("top", 5));
 
@@ -653,7 +640,7 @@ cmdServe(const Args &args)
         return 2;
     }
     auto bundle = std::make_shared<serve::ModelBundle>(
-        loadBundle("serve", model_path));
+        serve::ModelBundle::load(model_path));
 
     const serve::EngineKind engine =
         serve::parseEngineKind(args.str("engine", "threaded"));
@@ -776,7 +763,7 @@ cmdBenchServe(const Args &args)
         return 2;
     }
     auto bundle = std::make_shared<serve::ModelBundle>(
-        loadBundle("bench-serve", model_path));
+        serve::ModelBundle::load(model_path));
 
     serve::LoadgenOptions load;
     load.clients = static_cast<std::size_t>(args.num("clients", 8));
@@ -959,7 +946,7 @@ cmdLifecycle(const std::string &sub, const Args &args)
     const lifecycle::Journal journal =
         lifecycle::readJournal(journal_path);
     auto bundle = std::make_shared<serve::ModelBundle>(
-        loadBundle("lifecycle", model_path));
+        serve::ModelBundle::load(model_path));
     const lifecycle::ReplayResult result = lifecycle::replayJournal(
         journal, bundle, lifecycleOptionsFromArgs(args));
 
@@ -1013,8 +1000,12 @@ usage()
         "offline\n"
         "\n"
         "global flags:\n"
-        "  --kernels reference|fast   numeric kernel policy (also\n"
-        "                             WCNN_KERNELS); default reference");
+        "  --telemetry PREFIX    write PREFIX.jsonl + "
+        "PREFIX.trace.json for the run\n"
+        "  --telemetry-summary   print a metrics summary table at "
+        "exit\n"
+        "  --failpoints SPEC     arm fault-injection sites (also "
+        "WCNN_FAILPOINTS)");
     return 2;
 }
 
@@ -1030,9 +1021,6 @@ main(int argc, char **argv)
     // any subcommand (chaos drills; also via WCNN_FAILPOINTS).
     try {
         wcnn::core::failpoint::installFromArgs(argc, argv);
-        // `wcnn <cmd> ... --kernels fast` (or WCNN_KERNELS) selects
-        // the numeric kernel policy for any subcommand.
-        wcnn::numeric::kernels::installFromArgs(argc, argv);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "wcnn: %s\n", e.what());
         return 2;

@@ -50,10 +50,10 @@ Rules:
       friends, _mm*/__m128-style identifiers), no `#pragma omp`, and —
       within src/ — no raw contraction loops (an `x(i,k) * y(k,j)`
       element product with a shared middle index). Matrix products go
-      through numeric::Matrix / kernels::gemm so the kernel-policy
-      dispatch, the equivalence harness, and the ULP budget actually
-      govern every hot loop; a stray hand matmul elsewhere is admitted
-      by nothing.
+      through numeric::Matrix / kernels::gemm so every hot loop is one
+      the kernel equivalence test (tests/kernel_equivalence_test.cc)
+      checks bit for bit against its oracle; a stray hand matmul
+      elsewhere is checked by nothing.
   R9  Scenario files are parsed only via scenario::parse /
       scenario::loadFile. Outside src/scenario/, no include of the
       private lexer header and no code that opens a .wcnn path
