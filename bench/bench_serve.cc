@@ -16,10 +16,11 @@
  *
  * Each mode's throughput and window-RTT percentiles are appended to
  * BENCH_serve.json (same array-append idiom as BENCH_parallel.json)
- * with the speedup over the per-request baseline, so CI tracks the
- * batching gain release over release. Numbers are host-dependent;
- * single-core containers understate the batched forward's pool
- * speedup but still show the wakeup/syscall amortization.
+ * with the speedup over the per-request baseline and the host's
+ * hardware thread count (`nproc`), so CI tracks the batching gain
+ * release over release. Numbers are host-dependent; single-core
+ * containers understate the batched forward's pool speedup but still
+ * show the wakeup/syscall amortization.
  */
 
 #include <algorithm>
@@ -30,11 +31,12 @@
 #include <sstream>
 #include <string>
 
+#include "core/parallel.hh"
 #include "data/standardizer.hh"
 #include "nn/mlp.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
+#include "serve/event_server.hh"
 #include "serve/loadgen.hh"
 
 using wcnn::data::Standardizer;
@@ -44,7 +46,7 @@ using wcnn::nn::LayerSpec;
 using wcnn::nn::Mlp;
 using wcnn::numeric::Rng;
 using wcnn::serve::BundlePtr;
-using wcnn::serve::EngineKind;
+using wcnn::serve::EventServer;
 using wcnn::serve::LoadgenOptions;
 using wcnn::serve::LoadgenReport;
 using wcnn::serve::ModelBundle;
@@ -72,16 +74,15 @@ makeBundle()
 
 /** Append one mode's record to BENCH_serve.json (valid JSON array). */
 void
-appendServeRecord(EngineKind engine, const std::string &mode,
-                  const LoadgenOptions &load,
+appendServeRecord(const std::string &mode, const LoadgenOptions &load,
                   const LoadgenReport &report, double speedup)
 {
     static const char *path = "BENCH_serve.json";
 
     std::ostringstream record;
-    record << "  {\"bench\": \"bench_serve\", \"engine\": \""
-           << wcnn::serve::engineName(engine) << "\", \"mode\": \""
-           << mode << "\", \"clients\": " << load.clients
+    record << "  {\"bench\": \"bench_serve\", \"mode\": \"" << mode
+           << "\", \"nproc\": " << wcnn::core::hardwareThreads()
+           << ", \"clients\": " << load.clients
            << ", \"pipeline\": " << load.pipeline
            << ", \"requests\": " << report.requests
            << ", \"errors\": " << report.errors
@@ -111,16 +112,14 @@ appendServeRecord(EngineKind engine, const std::string &mode,
         out << body << ",\n" << record.str() << "\n]\n";
     }
 
-    std::printf("[serve] %-8s %-13s %8.0f req/s   p50 %8.1f us   "
+    std::printf("[serve] %-13s %8.0f req/s   p50 %8.1f us   "
                 "p99 %8.1f us   errors %zu   speedup %.2fx\n",
-                wcnn::serve::engineName(engine), mode.c_str(),
-                report.throughputRps, report.p50Us, report.p99Us,
-                report.errors, speedup);
+                mode.c_str(), report.throughputRps, report.p50Us,
+                report.p99Us, report.errors, speedup);
 }
 
 LoadgenReport
-runMode(EngineKind engine, ServeOptions opts,
-        const LoadgenOptions &load)
+runMode(ServeOptions opts, const LoadgenOptions &load)
 {
     // High client counts must not trip admission control or the SYN
     // backlog: the bench measures serving throughput, not the
@@ -129,14 +128,12 @@ runMode(EngineKind engine, ServeOptions opts,
     // the overflow, which would dominate the whole run).
     opts.maxConnections = std::max<std::size_t>(32, load.clients + 8);
     opts.backlog = static_cast<int>(opts.maxConnections);
-    const std::unique_ptr<wcnn::serve::ServerEngine> server =
-        wcnn::serve::makeServer(engine, std::move(opts));
-    server->deploy(makeBundle());
-    server->start();
-    const LoadgenReport report =
-        wcnn::serve::runTcpLoad("127.0.0.1", server->port(), kInputDim,
-                                load);
-    server->stop();
+    EventServer server(std::move(opts));
+    server.deploy(makeBundle());
+    server.start();
+    const LoadgenReport report = wcnn::serve::runTcpLoad(
+        "127.0.0.1", server.port(), kInputDim, load);
+    server.stop();
     return report;
 }
 
@@ -150,16 +147,6 @@ argValue(int argc, char **argv, const char *flag, std::size_t fallback)
     return fallback;
 }
 
-std::string
-argString(int argc, char **argv, const char *flag,
-          const std::string &fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::string(argv[i]) == flag)
-            return argv[i + 1];
-    return fallback;
-}
-
 } // namespace
 
 int
@@ -170,42 +157,37 @@ main(int argc, char **argv)
     load.requestsPerClient = argValue(argc, argv, "--requests", 800);
     load.pipeline = argValue(argc, argv, "--pipeline", 64);
     load.seed = argValue(argc, argv, "--seed", 42);
-    const EngineKind engine = wcnn::serve::parseEngineKind(
-        argString(argc, argv, "--engine", "threaded"));
 
-    std::printf("bench_serve: engine %s, %zu clients x %zu requests, "
-                "pipeline %zu\n",
-                wcnn::serve::engineName(engine), load.clients,
-                load.requestsPerClient, load.pipeline);
+    std::printf("bench_serve: %zu clients x %zu requests, pipeline %zu\n",
+                load.clients, load.requestsPerClient, load.pipeline);
 
     ServeOptions base;
     base.coalesceFrames = false;
     base.batch.maxBatch = 1;
     base.cache.capacity = 0;
-    const LoadgenReport per_request = runMode(engine, base, load);
-    appendServeRecord(engine, "per-request", load, per_request, 1.0);
+    const LoadgenReport per_request = runMode(base, load);
+    appendServeRecord("per-request", load, per_request, 1.0);
 
     ServeOptions batched;
     batched.batch.maxBatch = 128;
     batched.cache.capacity = 0;
-    const LoadgenReport micro = runMode(engine, batched, load);
+    const LoadgenReport micro = runMode(batched, load);
     const double micro_speedup =
         per_request.throughputRps > 0.0
             ? micro.throughputRps / per_request.throughputRps
             : 0.0;
-    appendServeRecord(engine, "micro-batched", load, micro,
-                      micro_speedup);
+    appendServeRecord("micro-batched", load, micro, micro_speedup);
 
     ServeOptions cached = batched;
     cached.cache.capacity = 4096;
     LoadgenOptions warm = load;
     warm.keyPoolSize = 32; // small pool: mostly cache hits
-    const LoadgenReport hit = runMode(engine, cached, warm);
+    const LoadgenReport hit = runMode(cached, warm);
     const double hit_speedup =
         per_request.throughputRps > 0.0
             ? hit.throughputRps / per_request.throughputRps
             : 0.0;
-    appendServeRecord(engine, "cached", warm, hit, hit_speedup);
+    appendServeRecord("cached", warm, hit, hit_speedup);
 
     std::printf("micro-batching speedup at %zu clients: %.2fx\n",
                 load.clients, micro_speedup);

@@ -3,9 +3,9 @@
  * Where promotions land: the bundle host seam.
  *
  * The LifecycleController promotes and rolls back bundles without
- * knowing whether it is steering a live serving engine or a bare
- * registry in an offline replay — both sit behind this three-method
- * interface. The engine adapter routes deploys through
+ * knowing whether it is steering a live server or a bare registry in
+ * an offline replay — both sit behind this three-method interface.
+ * The server adapter routes deploys through
  * ServeCore::deploy (registry swap *then* cache invalidation, the
  * order the serving layer already proves safe), so a promotion is
  * exactly as atomic as every hand-driven deploy has been since PR 5.
@@ -17,7 +17,7 @@
 #include <cstdint>
 
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
+#include "serve/event_server.hh"
 #include "serve/registry.hh"
 
 namespace wcnn {
@@ -66,14 +66,14 @@ class RegistryHost : public BundleHost
 };
 
 /**
- * Host over a live engine: deploys go through ServeCore::deploy, so
+ * Host over a live server: deploys go through ServeCore::deploy, so
  * the prediction cache is invalidated with the swap.
  */
 class EngineHost : public BundleHost
 {
   public:
-    /** @param srv Engine to steer; must outlive the host. */
-    explicit EngineHost(serve::ServerEngine &srv) : server(srv) {}
+    /** @param srv Server to steer; must outlive the host. */
+    explicit EngineHost(serve::EventServer &srv) : server(srv) {}
 
     serve::BundlePtr active() const override { return server.active(); }
 
@@ -85,7 +85,7 @@ class EngineHost : public BundleHost
     std::uint64_t version() const override { return server.version(); }
 
   private:
-    serve::ServerEngine &server;
+    serve::EventServer &server;
 };
 
 } // namespace lifecycle

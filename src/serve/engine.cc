@@ -5,8 +5,6 @@
 #include "core/contracts.hh"
 #include "core/telemetry.hh"
 #include "serve/error.hh"
-#include "serve/event_server.hh"
-#include "serve/server.hh"
 
 namespace wcnn {
 namespace serve {
@@ -142,19 +140,6 @@ ServeCore::predictMany(const numeric::Matrix &xs)
     return ys;
 }
 
-void
-ServeCore::answerRequests(const std::vector<numeric::Vector> &requests,
-                          const OnResult &on_result,
-                          const OnError &on_error)
-{
-    // The blocking path IS the async path resolved in order; keeping
-    // one implementation is what keeps both engines' bytes identical.
-    std::vector<PendingGroup> pending =
-        answerRequestsAsync(requests, on_result, on_error, {});
-    for (PendingGroup &group : pending)
-        finishGroup(group, on_result, on_error);
-}
-
 std::vector<ServeCore::PendingGroup>
 ServeCore::answerRequestsAsync(
     const std::vector<numeric::Vector> &requests,
@@ -235,7 +220,7 @@ ServeCore::answerRequestsAsync(
         } catch (const wcnn::Error &error) {
             // Admission control (Overloaded) and races with stop():
             // answered inline, synchronously, like a validation
-            // failure — both engines refuse at the same point.
+            // failure.
             nErrors.fetch_add(group.slots.size());
             for (const std::size_t i : group.slots)
                 on_error(i, error);
@@ -330,38 +315,6 @@ ServeCore::statsSnapshot() const
     s.observations = nObservations.load();
     s.droppedObservations = nDroppedObservations.load();
     return s;
-}
-
-// ServerEngine -------------------------------------------------------
-
-ServerEngine::ServerEngine(ServeOptions options)
-    : opts(std::move(options)), core(opts)
-{
-}
-
-EngineKind
-parseEngineKind(const std::string &name)
-{
-    if (name == "threaded")
-        return EngineKind::Threaded;
-    if (name == "epoll")
-        return EngineKind::Epoll;
-    throw ServeError("unknown serve engine '" + name +
-                     "' (expected 'threaded' or 'epoll')");
-}
-
-const char *
-engineName(EngineKind kind)
-{
-    return kind == EngineKind::Threaded ? "threaded" : "epoll";
-}
-
-std::unique_ptr<ServerEngine>
-makeServer(EngineKind kind, ServeOptions options)
-{
-    if (kind == EngineKind::Threaded)
-        return std::make_unique<InferenceServer>(std::move(options));
-    return std::make_unique<EventServer>(std::move(options));
 }
 
 } // namespace serve

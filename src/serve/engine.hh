@@ -1,27 +1,18 @@
 /**
  * @file
- * The serving engine seam: one shared core, two front ends.
+ * The serving core: everything a request needs except the transport.
  *
- * PR 5's InferenceServer bundled two separable things: the *serving
- * core* (BundleRegistry hot swap, PredictionCache, MicroBatcher,
- * wire counters, the cache-then-batch request answering) and a
- * *transport front end* (thread-per-connection blocking I/O). The
- * epoll rewrite splits them:
+ * ServeCore owns the BundleRegistry (hot swap), the PredictionCache,
+ * the MicroBatcher, and the exact wire counters, and answers
+ * requests cache-then-batch. It knows nothing about sockets: the
+ * EventServer (event_server.hh) feeds it through one Session per
+ * connection (session.hh), while bench_lifecycle and
+ * chaos_lifecycle_test drive it directly with no transport at all.
  *
- *     ServerEngine (interface + shared ServeCore)
- *        ├── InferenceServer   thread-per-connection (reference)
- *        └── EventServer       epoll reactor, per-core shards
- *
- * Both engines speak the identical wire protocol through the shared
- * per-connection Session state machine (session.hh), answer requests
- * through the same ServeCore, and carry the same failpoint sites —
- * so the equivalence suite (tests/serve_equivalence_test.cc) can
- * demand byte-identical response streams, not just "similar
- * behaviour". The threaded engine stays the always-correct reference
- * implementation; the epoll engine is admitted through that gate,
- * exactly like the batched kernels are checked against their
- * single-row oracles by kernel_equivalence_test (DESIGN.md §5.6,
- * §5.7).
+ * The reply bytes a client sees are checked against a sequential
+ * model that shares no serving code with this one — the expected
+ * stream is built from ModelBundle::predict and the protocol codec
+ * alone (tests/serve_equivalence_test.cc).
  */
 
 #ifndef WCNN_SERVE_ENGINE_HH
@@ -30,7 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -43,7 +33,7 @@
 namespace wcnn {
 namespace serve {
 
-/** Full server configuration (shared by both engines). */
+/** Full server configuration. */
 struct ServeOptions
 {
     /** Local address to bind. */
@@ -72,21 +62,11 @@ struct ServeOptions
     bool coalesceFrames = true;
 
     /**
-     * Epoll engine only: number of shard event loops the acceptor
-     * distributes connections over (round-robin). 0 selects one per
-     * hardware thread, capped at 8. The threaded engine ignores it.
+     * Number of shard event loops the acceptor distributes
+     * connections over (round-robin). 0 selects one per hardware
+     * thread, capped at 8.
      */
     std::size_t shards = 0;
-
-    /**
-     * Epoll engine only: number of SO_REUSEPORT acceptor threads,
-     * each with its own listening socket on the same address — the
-     * kernel load-balances incoming connections across them, removing
-     * the single-acceptor bottleneck under connection storms. 1 (the
-     * default) keeps the original single-listener behavior, with no
-     * SO_REUSEPORT set. The threaded engine ignores it.
-     */
-    std::size_t acceptors = 1;
 
     /** Micro-batching knobs. */
     BatcherOptions batch;
@@ -95,7 +75,7 @@ struct ServeOptions
     CacheOptions cache;
 };
 
-/** Wire-level counters (exact), identical across engines. */
+/** Wire-level counters (exact). */
 struct ServeStats
 {
     /** Connections accepted and handled. */
@@ -118,14 +98,12 @@ struct ServeStats
 
 /**
  * Transport-independent serving core: bundle registry, prediction
- * cache, micro-batcher, and exact wire counters. Both engines answer
- * every request through this one object, which is what makes their
- * responses bit-identical by construction.
+ * cache, micro-batcher, and exact wire counters.
  */
 class ServeCore
 {
   public:
-    /** @param options The owning engine's configuration. */
+    /** @param options The owning server's configuration. */
     explicit ServeCore(const ServeOptions &options);
 
     ServeCore(const ServeCore &) = delete;
@@ -202,28 +180,16 @@ class ServeCore
     };
 
     /**
-     * Answer a coalesced span of request vectors: cache hits inline,
-     * misses as one batcher group (or one group per request when
-     * coalescing is off). Results and typed errors come back through
-     * the callbacks, in request order. Blocks for the batcher.
-     */
-    void answerRequests(const std::vector<numeric::Vector> &requests,
-                        const OnResult &on_result,
-                        const OnError &on_error);
-
-    /**
-     * Non-blocking variant: everything answerable *now* — admission
-     * failures, arity errors, cache hits — is delivered through the
-     * callbacks before returning; cache misses are submitted to the
-     * batcher without waiting. Each returned group must later be
+     * Answer a coalesced span of request vectors without blocking:
+     * everything answerable *now* — admission failures, arity errors,
+     * cache hits — is delivered through the callbacks, in request
+     * order, before returning; cache misses are submitted to the
+     * batcher as one group (or one group per request when coalescing
+     * is off) without waiting. Each returned group must later be
      * handed to finishGroup() to deliver its rows. `on_ready` is
      * forwarded to MicroBatcher::submitMany (fires once per group,
      * from the dispatcher thread, after that group resolved) so an
      * event loop can sleep instead of polling.
-     *
-     * answerRequests() is exactly this followed by an in-order
-     * blocking finishGroup() per group — which is what keeps the two
-     * engines' response bytes identical by construction.
      */
     std::vector<PendingGroup> answerRequestsAsync(
         const std::vector<numeric::Vector> &requests,
@@ -247,14 +213,15 @@ class ServeCore
     /** Prediction cache counters. */
     PredictionCache::Stats cacheStats() const { return cache.stats(); }
 
-    // Exact wire counters, bumped by the engines and the Session.
+    // Exact wire counters, bumped by the server and the Session.
     void noteAccepted();
     void noteRejectedConnection();
     void notePing();
     void noteProtocolError();
     void noteFrameError();
 
-    /** Counter snapshot (activeConnections left 0; engines fill it). */
+    /** Counter snapshot (activeConnections left 0; the server
+     *  fills it). */
     ServeStats statsSnapshot() const;
 
   private:
@@ -275,115 +242,6 @@ class ServeCore
     std::atomic<std::uint64_t> nObservations{0};
     std::atomic<std::uint64_t> nDroppedObservations{0};
 };
-
-/**
- * Interface every serving front end implements. The shared surface
- * (deploy, in-process predict, counters) is non-virtual and answered
- * by the core; only the transport lifecycle is engine-specific.
- */
-class ServerEngine
-{
-  public:
-    virtual ~ServerEngine() = default;
-
-    ServerEngine(const ServerEngine &) = delete;
-    ServerEngine &operator=(const ServerEngine &) = delete;
-
-    /** Atomically install a bundle (hot swap); see ServeCore. */
-    std::uint64_t deploy(BundlePtr bundle)
-    {
-        return core.deploy(std::move(bundle));
-    }
-
-    /** Snapshot of the active bundle (null before the first deploy). */
-    BundlePtr active() const { return core.active(); }
-
-    /** Version of the active bundle (bumps on every deploy). */
-    std::uint64_t version() const { return core.version(); }
-
-    /** Install the lifecycle observation sink; see ServeCore. */
-    void setObservationSink(ServeCore::ObservationSink sink)
-    {
-        core.setObservationSink(std::move(sink));
-    }
-
-    /** In-process predict, bit-identical to ModelBundle::predict. */
-    numeric::Vector predict(const numeric::Vector &x)
-    {
-        return core.predict(x);
-    }
-
-    /** In-process batched predict. */
-    numeric::Matrix predictMany(const numeric::Matrix &xs)
-    {
-        return core.predictMany(xs);
-    }
-
-    /** Bind the listener and start serving. @throws ServeError. */
-    virtual void start() = 0;
-
-    /** Graceful drain; idempotent. */
-    virtual void stop() = 0;
-
-    /** Bound port; valid after start(). */
-    virtual std::uint16_t port() const = 0;
-
-    /** Whether start() succeeded and stop() has not run. */
-    virtual bool running() const = 0;
-
-    /** Exact wire counters. */
-    ServeStats stats() const
-    {
-        ServeStats s = core.statsSnapshot();
-        s.activeConnections = activeConnections();
-        return s;
-    }
-
-    /** Micro-batcher counters. */
-    MicroBatcher::Stats batcherStats() const
-    {
-        return core.batcherStats();
-    }
-
-    /** Prediction cache counters. */
-    PredictionCache::Stats cacheStats() const
-    {
-        return core.cacheStats();
-    }
-
-    /** The configuration the engine was built with. */
-    const ServeOptions &options() const { return opts; }
-
-  protected:
-    explicit ServerEngine(ServeOptions options);
-
-    /** Connections currently being served (engine bookkeeping). */
-    virtual std::size_t activeConnections() const = 0;
-
-    const ServeOptions opts;
-    ServeCore core;
-};
-
-/** The two serving front ends. */
-enum class EngineKind
-{
-    Threaded, ///< thread-per-connection InferenceServer (reference)
-    Epoll,    ///< epoll reactor EventServer with per-core shards
-};
-
-/**
- * Parse an engine name ("threaded" / "epoll").
- *
- * @throws ServeError on an unknown name.
- */
-EngineKind parseEngineKind(const std::string &name);
-
-/** Stable engine name ("threaded" / "epoll"). */
-const char *engineName(EngineKind kind);
-
-/** Construct the requested engine (no socket yet; see start()). */
-std::unique_ptr<ServerEngine> makeServer(EngineKind kind,
-                                         ServeOptions options = {});
 
 } // namespace serve
 } // namespace wcnn

@@ -21,17 +21,16 @@ namespace serve {
 namespace {
 
 /** Event-loop tick: poll bound, stop-flag latency, and timer-wheel
- *  granularity — matches the threaded engine's kPollMs so idle
- *  timeouts land with the same resolution on both engines. */
+ *  granularity (the resolution idle timeouts land with). */
 constexpr int kTickMs = 100;
 
 /**
- * Read chunk size. Larger than the threaded engine's 4 KiB stack
- * buffer: under deep pipelining a shard serves many connections per
- * sweep, and one big read per connection both halves the syscall
- * count and lets the Session coalesce more frames into one batcher
- * group. (Chunk size never changes the response bytes — the Session
- * is fragmentation-invariant by the reply-ordering contract.)
+ * Read chunk size. Under deep pipelining a shard serves many
+ * connections per sweep, and one big read per connection both cuts
+ * the syscall count and lets the Session coalesce more frames into
+ * one batcher group. (Chunk size never changes the response bytes —
+ * the Session is fragmentation-invariant by the reply-ordering
+ * contract.)
  */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -397,7 +396,7 @@ class EventServer::Shard
 // EventServer --------------------------------------------------------
 
 EventServer::EventServer(ServeOptions options)
-    : ServerEngine(std::move(options))
+    : opts(std::move(options)), core(opts)
 {
 }
 
@@ -419,26 +418,14 @@ EventServer::start()
     for (std::size_t i = 0; i < shard_count; ++i)
         workers.push_back(std::make_unique<Shard>(*this));
 
-    // Multi-acceptor mode: every listener sets SO_REUSEPORT and binds
-    // the same address, so the kernel spreads incoming connections
-    // across the acceptor threads. With the default of one acceptor
-    // the socket options (and behavior) are exactly the original.
-    const std::size_t acceptor_count =
-        opts.acceptors > 0 ? opts.acceptors : 1;
-    const bool reuse_port = acceptor_count > 1;
-    listeners.push_back(std::make_unique<net::TcpListener>(
-        opts.host, opts.port, opts.backlog, reuse_port));
-    boundPort = listeners.front()->port();
-    for (std::size_t i = 1; i < acceptor_count; ++i)
-        listeners.push_back(std::make_unique<net::TcpListener>(
-            opts.host, boundPort, opts.backlog, /*reuse_port=*/true));
+    listener = std::make_unique<net::TcpListener>(opts.host, opts.port,
+                                                  opts.backlog);
+    boundPort = listener->port();
 
     for (auto &worker : workers)
         worker->start();
     accepting.store(true);
-    acceptors.reserve(acceptor_count);
-    for (std::size_t i = 0; i < acceptor_count; ++i)
-        acceptors.emplace_back([this, i] { acceptLoop(i); });
+    acceptor = std::thread([this] { acceptLoop(); });
 }
 
 void
@@ -446,12 +433,10 @@ EventServer::stop()
 {
     stopping.store(true, std::memory_order_release);
     accepting.store(false);
-    for (auto &listener : listeners)
+    if (listener != nullptr)
         listener->close();
-    for (std::thread &acceptor : acceptors)
-        if (acceptor.joinable())
-            acceptor.join();
-    acceptors.clear();
+    if (acceptor.joinable())
+        acceptor.join();
     for (auto &worker : workers)
         worker->wake();
     for (auto &worker : workers)
@@ -465,12 +450,11 @@ EventServer::stop()
 }
 
 void
-EventServer::acceptLoop(std::size_t slot)
+EventServer::acceptLoop()
 {
-    net::TcpListener &listener = *listeners[slot];
-    std::size_t next = slot % workers.size();
+    std::size_t next = 0;
     while (!stopping.load()) {
-        net::TcpStream stream = listener.accept(kTickMs);
+        net::TcpStream stream = listener->accept(kTickMs);
         if (!stream.valid())
             continue;
         if (stopping.load())
@@ -486,8 +470,7 @@ EventServer::acceptLoop(std::size_t slot)
         }
 
         if (liveConns.load() >= opts.maxConnections) {
-            // Admission control: answer typed, close, move on — the
-            // same rejection frame the threaded engine sends.
+            // Admission control: answer typed, close, move on.
             core.noteRejectedConnection();
             const net::Bytes frame = net::encodeError(
                 "serve.overloaded",

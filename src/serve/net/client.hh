@@ -3,7 +3,7 @@
  * Blocking binary-protocol client of the inference server.
  *
  * ServeClient is the sanctioned way for tests, benches and the CLI to
- * talk to a running InferenceServer without touching sockets (lint
+ * talk to a running EventServer without touching sockets (lint
  * rule R7 keeps raw socket code inside src/serve/net/). It speaks the
  * binary framing from protocol.hh and reconstructs the server's typed
  * error frames back into the matching wcnn::serve exception, so a

@@ -118,8 +118,7 @@ class Reactor
  * (the serving code uses core::telemetry::nowNs()). An entry fires in
  * the collect() whose sweep reaches its slot at or after its
  * deadline; with a `tick_ns` matching the event loop's poll bound,
- * expiry lags a deadline by at most one tick — the same granularity
- * the threaded engine's idle accounting has.
+ * expiry lags a deadline by at most one tick.
  */
 class TimerWheel
 {

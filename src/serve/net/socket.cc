@@ -229,7 +229,7 @@ TcpStream::close()
 // TcpListener --------------------------------------------------------
 
 TcpListener::TcpListener(const std::string &host, std::uint16_t port,
-                         int backlog, bool reuse_port)
+                         int backlog)
 {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
@@ -237,15 +237,6 @@ TcpListener::TcpListener(const std::string &host, std::uint16_t port,
 
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuse_port &&
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-            0) {
-        const int saved = errno;
-        ::close(fd);
-        fd = -1;
-        errno = saved;
-        throwErrno("setsockopt SO_REUSEPORT");
-    }
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;

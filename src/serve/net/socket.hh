@@ -10,10 +10,12 @@
  * the serving logic or the tests.
  *
  * Both classes are move-only RAII handles over a file descriptor.
- * Reads are timeout-bounded (poll + SO_RCVTIMEO semantics via poll)
- * so the connection loop can periodically observe the server's stop
- * flag and enforce idle timeouts; writes always complete fully or
- * throw a typed ServeError.
+ * The blocking API serves the client side (ServeClient, the load
+ * generators, tests) and the server's acceptor: reads and accepts
+ * are timeout-bounded via poll, so a caller can observe a stop flag
+ * or give up on a silent peer, and writes always complete fully or
+ * throw a typed ServeError. The server's own connections run on the
+ * nonblocking API (readNb/writeNb) under a Reactor.
  */
 
 #ifndef WCNN_SERVE_NET_SOCKET_HH
@@ -37,7 +39,7 @@ enum class ReadStatus
 };
 
 /**
- * Result of a nonblocking read/write attempt (the reactor engine's
+ * Result of a nonblocking read/write attempt (the server's
  * vocabulary; kept separate from ReadStatus so the blocking API's
  * exhaustive switches stay exhaustive).
  */
@@ -100,7 +102,7 @@ class TcpStream
 
     /**
      * Switch the descriptor between blocking and nonblocking modes
-     * (O_NONBLOCK). The reactor engine runs every accepted stream
+     * (O_NONBLOCK). The server runs every accepted stream
      * nonblocking; the blocking API above must not be used after
      * enabling this.
      *
@@ -167,17 +169,12 @@ class TcpListener
     /**
      * Bind and listen.
      *
-     * @param host       Local IPv4 address to bind ("127.0.0.1").
-     * @param port       Port; 0 picks an ephemeral port (see port()).
-     * @param backlog    listen(2) backlog.
-     * @param reuse_port Also set SO_REUSEPORT before binding, so
-     *                   multiple listeners can share one address and
-     *                   the kernel load-balances accepts across them
-     *                   (the epoll engine's multi-acceptor mode).
+     * @param host    Local IPv4 address to bind ("127.0.0.1").
+     * @param port    Port; 0 picks an ephemeral port (see port()).
+     * @param backlog listen(2) backlog.
      * @throws ServeError when the address cannot be bound.
      */
-    TcpListener(const std::string &host, std::uint16_t port, int backlog,
-                bool reuse_port = false);
+    TcpListener(const std::string &host, std::uint16_t port, int backlog);
 
     TcpListener(const TcpListener &) = delete;
     TcpListener &operator=(const TcpListener &) = delete;

@@ -8,7 +8,8 @@
  * batch keeps the bundle it started with alive), writers swap in a new
  * bundle and bump a monotonically increasing version. The prediction
  * cache keys its validity on that version, so a swap implicitly
- * invalidates every cached prediction (see server.hh).
+ * invalidates every cached prediction (see ServeCore::deploy in
+ * engine.hh).
  */
 
 #ifndef WCNN_SERVE_REGISTRY_HH

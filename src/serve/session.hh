@@ -9,24 +9,23 @@
  * feed it raw received bytes via consume(), then call collect() to
  * take the reply buffers that are ready — each element is exactly one
  * write(2)'s worth, so the per-request baseline (coalesceFrames =
- * false) keeps its one-write-per-response shape on both engines.
+ * false) keeps its one-write-per-response shape.
  *
  * consume() never blocks on the batcher: requests are submitted
  * asynchronously (ServeCore::answerRequestsAsync) and their reply
  * slots stay pending in the outbox until the prediction resolves.
- * The threaded engine calls collect(block=true) right after each
- * consume(), which resolves everything in arrival order — the exact
- * bytes it always produced. The epoll engine calls
- * collect(block=false) and is woken by the batcher's completion
- * hook instead, so a shard event loop keeps serving its other
- * connections while a prediction is in flight; this is what lets the
- * whole engine hold more in-flight batch groups than it has shards.
+ * The EventServer calls collect(block=false) and is woken by the
+ * batcher's completion hook, so a shard event loop keeps serving its
+ * other connections while a prediction is in flight; this is what
+ * lets the server hold more in-flight batch groups than it has
+ * shards. Only the graceful drain calls collect(block=true), to
+ * answer every accepted request before the close.
  *
- * Both serving front ends (threaded InferenceServer, epoll
- * EventServer) drive the same Session, which is what lets the
- * equivalence suite demand *byte-identical* response streams: the
- * only thing an engine contributes is when reads happen and how
- * writes are flushed, never what bytes are produced.
+ * The transport contributes when reads happen and how writes are
+ * flushed, never what bytes are produced: those are a function of
+ * the frames received alone, which is what lets the equivalence
+ * suite compare each stream byte for byte with a sequential reply
+ * model (tests/serve_equivalence_test.cc).
  *
  * Reply ordering contract: replies are staged strictly in frame
  * arrival order — a pong or a protocol-error frame never overtakes
@@ -39,10 +38,9 @@
  * depend on TCP segmentation; the equivalence gate forbids exactly
  * that kind of nondeterminism.)
  *
- * Failpoints: the shared "serve.decode" site lives here (one check
- * per decoded frame/line, matching the threaded server's historical
- * placement); "serve.read"/"serve.write" belong to the transports
- * and "serve.predict" to the MicroBatcher.
+ * Failpoints: the "serve.decode" site lives here (one check per
+ * decoded frame/line); "serve.read"/"serve.write" belong to the
+ * transport and "serve.predict" to the MicroBatcher.
  */
 
 #ifndef WCNN_SERVE_SESSION_HH
@@ -76,14 +74,13 @@ class Session
 
     /**
      * @param serve_core Shared serving core answering the requests.
-     * @param coalesce   ServeOptions::coalesceFrames of the engine.
+     * @param coalesce   ServeOptions::coalesceFrames of the server.
      * @param on_ready   Optional wake hook, forwarded to the batcher
      *                   (MicroBatcher::submitMany): fires from the
      *                   dispatcher thread when an in-flight group
      *                   resolved, meaning a collect(false) call would
      *                   now make progress. Event-loop transports pass
-     *                   their reactor wakeup; blocking transports
-     *                   pass nothing and use collect(true).
+     *                   their reactor wakeup.
      */
     Session(ServeCore &serve_core, bool coalesce,
             std::function<void()> on_ready = {});
@@ -110,8 +107,8 @@ class Session
      * coalesced element when coalescing is on).
      *
      * @param block True blocks until every in-flight group resolved
-     *        (the threaded engine's per-chunk behaviour); false only
-     *        takes what is already complete.
+     *        (the graceful drain); false only takes what is already
+     *        complete.
      */
     void collect(bool block, std::vector<net::Bytes> &writes);
 

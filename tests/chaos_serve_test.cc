@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault injection against the inference server — BOTH engines. The
- * serving contract under chaos — pinned here — is blast-radius
+ * Fault injection against the inference server. The serving
+ * contract under chaos — pinned here — is blast-radius
  * containment: a fault at any WCNN_FAILPOINT site (serve.accept /
  * serve.read / serve.decode / serve.predict / serve.write) costs at
  * most the affected request or connection; the server keeps
@@ -10,13 +10,12 @@
  * through all sites at once and then proves full recovery after the
  * faults are disarmed.
  *
- * Every scenario runs parametrized over {threaded, epoll}: the
- * containment contract is engine-independent, and for the epoll
- * engine it sharpens into "one poisoned connection never kills its
- * shard loop" — a shard multiplexes many connections onto one
- * thread, so a leaked exception there would take innocent
- * connections down with it. The shards=1 scenarios force every
- * connection onto the same loop to make that exact mistake fatal.
+ * On the event-loop server the containment contract sharpens into
+ * "one poisoned connection never kills its shard loop" — a shard
+ * multiplexes many connections onto one thread, so a leaked
+ * exception there would take innocent connections down with it. The
+ * shards=1 scenarios force every connection onto the same loop to
+ * make that exact mistake fatal.
  *
  * Failpoint scenarios need library-side injection sites, so they
  * skip when the serve library was built with WCNN_NO_FAILPOINTS.
@@ -35,8 +34,8 @@
 #include "nn/mlp.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
 #include "serve/error.hh"
+#include "serve/event_server.hh"
 #include "serve/net/client.hh"
 
 namespace fp = wcnn::core::failpoint;
@@ -50,26 +49,24 @@ using wcnn::nn::Mlp;
 using wcnn::numeric::Rng;
 using wcnn::numeric::Vector;
 using wcnn::serve::BundlePtr;
-using wcnn::serve::EngineKind;
-using wcnn::serve::makeServer;
+using wcnn::serve::EventServer;
 using wcnn::serve::ModelBundle;
 using wcnn::serve::ServeError;
 using wcnn::serve::ServeOptions;
-using wcnn::serve::ServerEngine;
 
 namespace {
 
 constexpr const char *kHost = "127.0.0.1";
 
-class ChaosServeTest : public ::testing::TestWithParam<EngineKind>
+class ChaosServeTest : public ::testing::Test
 {
   protected:
     void SetUp() override { fp::reset(); }
     void TearDown() override { fp::reset(); }
 
-    std::unique_ptr<ServerEngine> makeEngine(ServeOptions opts = {})
+    std::unique_ptr<EventServer> newServer(ServeOptions opts = {})
     {
-        return makeServer(GetParam(), std::move(opts));
+        return std::make_unique<EventServer>(std::move(opts));
     }
 };
 
@@ -99,7 +96,7 @@ const Vector kX{1.0, -0.5, 2.0};
 
 /** A fresh connection must answer exactly (post-fault recovery). */
 void
-expectServesExactly(ServerEngine &server, const BundlePtr &bundle)
+expectServesExactly(EventServer &server, const BundlePtr &bundle)
 {
     net::ServeClient client =
         net::ServeClient::connect(kHost, server.port());
@@ -112,11 +109,11 @@ expectServesExactly(ServerEngine &server, const BundlePtr &bundle)
 
 } // namespace
 
-TEST_P(ChaosServeTest, PredictFaultAnswersTypedAndConnectionSurvives)
+TEST_F(ChaosServeTest, PredictFaultAnswersTypedAndConnectionSurvives)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -139,11 +136,11 @@ TEST_P(ChaosServeTest, PredictFaultAnswersTypedAndConnectionSurvives)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, ReadFaultCostsOnlyThatConnection)
+TEST_F(ChaosServeTest, ReadFaultCostsOnlyThatConnection)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -169,11 +166,11 @@ TEST_P(ChaosServeTest, ReadFaultCostsOnlyThatConnection)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, DecodeFaultCostsOnlyThatConnection)
+TEST_F(ChaosServeTest, DecodeFaultCostsOnlyThatConnection)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -187,11 +184,11 @@ TEST_P(ChaosServeTest, DecodeFaultCostsOnlyThatConnection)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, WriteFaultCostsOnlyThatConnection)
+TEST_F(ChaosServeTest, WriteFaultCostsOnlyThatConnection)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -207,11 +204,11 @@ TEST_P(ChaosServeTest, WriteFaultCostsOnlyThatConnection)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, AcceptFaultDropsOneConnectionThenRecovers)
+TEST_F(ChaosServeTest, AcceptFaultDropsOneConnectionThenRecovers)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -227,19 +224,18 @@ TEST_P(ChaosServeTest, AcceptFaultDropsOneConnectionThenRecovers)
 }
 
 /**
- * The epoll sharpening of blast-radius containment: with every
+ * The event-loop sharpening of blast-radius containment: with every
  * connection forced onto ONE shard loop, a peer that sends wire
  * garbage gets its typed protocol error and its close — while the
  * other connections multiplexed on the very same loop thread keep
- * being served exactly. (Threaded engine: trivially true, one thread
- * per connection — kept in the matrix as the reference behavior.)
+ * being served exactly.
  */
-TEST_P(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
+TEST_F(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
 {
     const BundlePtr bundle = makeBundle();
     ServeOptions opts;
     opts.shards = 1;
-    auto server = makeEngine(opts);
+    auto server = newServer(opts);
     server->deploy(bundle);
     server->start();
 
@@ -273,13 +269,13 @@ TEST_P(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
 
 /** Same single-shard setup, but the poison is an injected decode
  *  fault instead of wire garbage. */
-TEST_P(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
+TEST_F(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
     ServeOptions opts;
     opts.shards = 1;
-    auto server = makeEngine(opts);
+    auto server = newServer(opts);
     server->deploy(bundle);
     server->start();
 
@@ -306,13 +302,13 @@ TEST_P(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, MultiSiteChaosSweepNeverKillsTheServer)
+TEST_F(ChaosServeTest, MultiSiteChaosSweepNeverKillsTheServer)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
     ServeOptions opts;
     opts.cache.capacity = 128;
-    auto server = makeEngine(opts);
+    auto server = newServer(opts);
     server->deploy(bundle);
     server->start();
 
@@ -382,10 +378,3 @@ TEST_P(ChaosServeTest, MultiSiteChaosSweepNeverKillsTheServer)
     server->stop();
     EXPECT_FALSE(server->running());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ChaosServeTest,
-    ::testing::Values(EngineKind::Threaded, EngineKind::Epoll),
-    [](const ::testing::TestParamInfo<EngineKind> &info) {
-        return std::string(wcnn::serve::engineName(info.param));
-    });

@@ -2,16 +2,16 @@
  * @file
  * Shadow invisibility, pinned on the wire: while a candidate is under
  * shadow evaluation, the byte stream every client sees is IDENTICAL
- * to a server with no lifecycle attached — on both engines.
+ * to a server with no lifecycle attached.
  *
  * The claim is structural (ServeCore::observe stages its Ack upstream
  * of the observation sink; the candidate predicts only inside the
  * controller and is never deployed mid-shadow), and this suite turns
  * it into the acceptance test: scripted mixed predict/observe traffic
- * is replayed against four servers — {threaded, epoll} x {lifecycle
- * on, off} — and all four response streams must be byte-equal, while
- * the lifecycle servers are verifiably mid-evaluation (a candidate
- * retrained, Shadowing stage, zero promotions).
+ * is replayed against two servers — lifecycle on and off — and both
+ * response streams must be byte-equal, while the lifecycle server is
+ * verifiably mid-evaluation (a candidate retrained, Shadowing stage,
+ * zero promotions).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@
 #include "lifecycle/controller.hh"
 #include "lifecycle/host.hh"
 #include "lifecycle_test_util.hh"
-#include "serve/engine.hh"
+#include "serve/event_server.hh"
 #include "serve/net/protocol.hh"
 #include "serve/net/socket.hh"
 
@@ -33,7 +33,6 @@ namespace {
 using namespace wcnn;
 using namespace wcnn::lifecycle_test;
 namespace net = serve::net;
-using serve::EngineKind;
 
 constexpr const char *kHost = "127.0.0.1";
 
@@ -114,63 +113,58 @@ TEST(LifecycleShadowEquivalence, ShadowingIsInvisibleOnTheWire)
     net::Bytes baseline;
     bool have_baseline = false;
 
-    for (const EngineKind kind :
-         {EngineKind::Threaded, EngineKind::Epoll}) {
-        for (const bool lifecycle_on : {false, true}) {
-            SCOPED_TRACE(std::string(serve::engineName(kind)) +
-                         (lifecycle_on ? "+lifecycle" : ""));
-            auto server = serve::makeServer(kind, {});
-            server->deploy(incumbent);
+    for (const bool lifecycle_on : {false, true}) {
+        SCOPED_TRACE(lifecycle_on ? "lifecycle" : "no lifecycle");
+        serve::EventServer server;
+        server.deploy(incumbent);
 
-            std::unique_ptr<lifecycle::EngineHost> host;
-            std::unique_ptr<lifecycle::LifecycleController> controller;
-            if (lifecycle_on) {
-                host = std::make_unique<lifecycle::EngineHost>(*server);
-                controller =
-                    std::make_unique<lifecycle::LifecycleController>(
-                        *host, midShadowOptions());
-                lifecycle::LifecycleController &ctl = *controller;
-                server->setObservationSink(
-                    [&ctl](const numeric::Vector &x,
-                           const numeric::Vector &p,
-                           const numeric::Vector &o) {
-                        ctl.record(x, p, o);
-                    });
-            }
+        std::unique_ptr<lifecycle::EngineHost> host;
+        std::unique_ptr<lifecycle::LifecycleController> controller;
+        if (lifecycle_on) {
+            host = std::make_unique<lifecycle::EngineHost>(server);
+            controller =
+                std::make_unique<lifecycle::LifecycleController>(
+                    *host, midShadowOptions());
+            lifecycle::LifecycleController &ctl = *controller;
+            server.setObservationSink(
+                [&ctl](const numeric::Vector &x,
+                       const numeric::Vector &p,
+                       const numeric::Vector &o) {
+                    ctl.record(x, p, o);
+                });
+        }
 
-            server->start();
-            net::Bytes reply =
-                runClient(server->port(), binary_script);
-            const net::Bytes json_reply =
-                runClient(server->port(), json_script);
-            reply.insert(reply.end(), json_reply.begin(),
-                         json_reply.end());
-            server->stop();
+        server.start();
+        net::Bytes reply = runClient(server.port(), binary_script);
+        const net::Bytes json_reply =
+            runClient(server.port(), json_script);
+        reply.insert(reply.end(), json_reply.begin(),
+                     json_reply.end());
+        server.stop();
 
-            if (!have_baseline) {
-                baseline = reply;
-                have_baseline = true;
-                ASSERT_FALSE(baseline.empty());
-            } else {
-                EXPECT_EQ(reply, baseline)
-                    << "reply stream diverged from the no-lifecycle "
-                       "threaded baseline";
-            }
+        if (!have_baseline) {
+            baseline = reply;
+            have_baseline = true;
+            ASSERT_FALSE(baseline.empty());
+        } else {
+            EXPECT_EQ(reply, baseline)
+                << "reply stream diverged from the no-lifecycle "
+                   "baseline";
+        }
 
-            if (lifecycle_on) {
-                // The invisibility claim only counts if a candidate
-                // really was mid-evaluation while the bytes flowed.
-                EXPECT_EQ(controller->stage(),
-                          lifecycle::Stage::Shadowing);
-                const auto stats = controller->stats();
-                EXPECT_EQ(stats.drifts, 1u);
-                EXPECT_EQ(stats.retrains, 1u);
-                EXPECT_EQ(stats.promotions, 0u);
-                // The bad-dims observe was rejected upstream of the
-                // sink; JSON + binary good observes all arrived.
-                EXPECT_EQ(stats.records, 25u);
-                EXPECT_EQ(server->stats().droppedObservations, 0u);
-            }
+        if (lifecycle_on) {
+            // The invisibility claim only counts if a candidate
+            // really was mid-evaluation while the bytes flowed.
+            EXPECT_EQ(controller->stage(),
+                      lifecycle::Stage::Shadowing);
+            const auto stats = controller->stats();
+            EXPECT_EQ(stats.drifts, 1u);
+            EXPECT_EQ(stats.retrains, 1u);
+            EXPECT_EQ(stats.promotions, 0u);
+            // The bad-dims observe was rejected upstream of the
+            // sink; JSON + binary good observes all arrived.
+            EXPECT_EQ(stats.records, 25u);
+            EXPECT_EQ(server.stats().droppedObservations, 0u);
         }
     }
 }
@@ -181,23 +175,23 @@ TEST(LifecycleShadowEquivalence, PromotionChangesPredictionsAtomically)
     // candidate wins, predictions change — proving the invariance
     // above was the shadow stage, not a disconnected controller.
     const auto incumbent = makeIncumbent();
-    auto server = serve::makeServer(EngineKind::Threaded, {});
-    server->deploy(incumbent);
-    lifecycle::EngineHost host(*server);
+    serve::EventServer server;
+    server.deploy(incumbent);
+    lifecycle::EngineHost host(server);
     lifecycle::LifecycleController controller(host, testOptions());
-    server->setObservationSink(
+    server.setObservationSink(
         [&controller](const numeric::Vector &x,
                       const numeric::Vector &p,
                       const numeric::Vector &o) {
             controller.record(x, p, o);
         });
-    server->start();
+    server.start();
 
     const numeric::Vector probe{0.5, 0.5};
-    const numeric::Vector before = server->predict(probe);
+    const numeric::Vector before = server.predict(probe);
 
     net::TcpStream stream =
-        net::TcpStream::connect(kHost, server->port());
+        net::TcpStream::connect(kHost, server.port());
     numeric::Rng rng(78);
     for (int i = 0; i < 56; ++i) {
         const double a = rng.uniform();
@@ -214,9 +208,9 @@ TEST(LifecycleShadowEquivalence, PromotionChangesPredictionsAtomically)
     }
 
     EXPECT_EQ(controller.stats().promotions, 1u);
-    EXPECT_EQ(server->version(), 2u);
-    const numeric::Vector after = server->predict(probe);
-    server->stop();
+    EXPECT_EQ(server.version(), 2u);
+    const numeric::Vector after = server.predict(probe);
+    server.stop();
     EXPECT_NE(before, after);
     EXPECT_LT(lifecycle::relativeError(
                   after, {driftedSurface(probe[0], probe[1])}),

@@ -1,6 +1,6 @@
 /**
  * @file
- * InferenceServer end to end over localhost TCP: bit-identity of the
+ * EventServer end to end over localhost TCP: bit-identity of the
  * remote predict with the local bundle, pipelined order, both wire
  * encodings (binary frames and JSON lines on one port), typed remote
  * faults (no model, arity, overload, malformed bytes), hot swap with
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -22,9 +21,9 @@
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
 #include "serve/error.hh"
+#include "serve/event_server.hh"
 #include "serve/net/client.hh"
 #include "serve/net/socket.hh"
-#include "serve/server.hh"
 
 using wcnn::data::Standardizer;
 using wcnn::nn::Activation;
@@ -35,12 +34,13 @@ using wcnn::numeric::Rng;
 using wcnn::numeric::Vector;
 using wcnn::serve::BadRequest;
 using wcnn::serve::BundlePtr;
-using wcnn::serve::InferenceServer;
+using wcnn::serve::EventServer;
 using wcnn::serve::ModelBundle;
 using wcnn::serve::NoModelError;
 using wcnn::serve::Overloaded;
 using wcnn::serve::ServeError;
 using wcnn::serve::ServeOptions;
+using wcnn::serve::ServeStats;
 
 namespace net = wcnn::serve::net;
 
@@ -101,7 +101,7 @@ readJsonLines(net::TcpStream &stream, std::size_t lines)
 TEST(ServeServerTest, RemotePredictBitIdenticalToLocal)
 {
     const BundlePtr bundle = makeBundle();
-    InferenceServer server;
+    EventServer server;
     server.deploy(bundle);
     server.start();
 
@@ -117,7 +117,7 @@ TEST(ServeServerTest, RemotePredictBitIdenticalToLocal)
     client.close();
     server.stop();
 
-    const InferenceServer::Stats s = server.stats();
+    const ServeStats s = server.stats();
     EXPECT_EQ(s.accepted, 1u);
     EXPECT_EQ(s.requests, 25u);
     EXPECT_EQ(s.pings, 1u);
@@ -127,7 +127,7 @@ TEST(ServeServerTest, RemotePredictBitIdenticalToLocal)
 TEST(ServeServerTest, PipelinedRequestsAnswerInSendOrder)
 {
     const BundlePtr bundle = makeBundle(3);
-    InferenceServer server;
+    EventServer server;
     server.deploy(bundle);
     server.start();
 
@@ -152,7 +152,7 @@ TEST(ServeServerTest, ConcurrentClientsAllGetExactAnswers)
     const BundlePtr bundle = makeBundle(4, 2);
     ServeOptions opts;
     opts.cache.capacity = 256; // mixed cache/batch paths
-    InferenceServer server(opts);
+    EventServer server(opts);
     server.deploy(bundle);
     server.start();
 
@@ -195,7 +195,7 @@ TEST(ServeServerTest, ConcurrentClientsAllGetExactAnswers)
 TEST(ServeServerTest, JsonLinesShareThePort)
 {
     const BundlePtr bundle = makeBundle();
-    InferenceServer server;
+    EventServer server;
     server.deploy(bundle);
     server.start();
 
@@ -218,7 +218,7 @@ TEST(ServeServerTest, JsonLinesShareThePort)
 
 TEST(ServeServerTest, NoModelDeployedAnswersTyped)
 {
-    InferenceServer server; // no deploy()
+    EventServer server; // no deploy()
     server.start();
     net::ServeClient client =
         net::ServeClient::connect(kHost, server.port());
@@ -231,7 +231,7 @@ TEST(ServeServerTest, NoModelDeployedAnswersTyped)
 TEST(ServeServerTest, ArityMismatchAnswersTypedAndKeepsServing)
 {
     const BundlePtr bundle = makeBundle();
-    InferenceServer server;
+    EventServer server;
     server.deploy(bundle);
     server.start();
     net::ServeClient client =
@@ -247,7 +247,7 @@ TEST(ServeServerTest, ConnectionLimitRejectsSurplusTyped)
 {
     ServeOptions opts;
     opts.maxConnections = 1;
-    InferenceServer server(opts);
+    EventServer server(opts);
     server.deploy(makeBundle());
     server.start();
 
@@ -285,7 +285,7 @@ TEST(ServeServerTest, ConnectionLimitRejectsSurplusTyped)
 
 TEST(ServeServerTest, MalformedBytesGetProtocolErrorThenClose)
 {
-    InferenceServer server;
+    EventServer server;
     server.deploy(makeBundle());
     server.start();
 
@@ -312,7 +312,7 @@ TEST(ServeServerTest, HotSwapServesNewModelAndInvalidatesCache)
     const BundlePtr second = makeBundle(200);
     ServeOptions opts;
     opts.cache.capacity = 64;
-    InferenceServer server(opts);
+    EventServer server(opts);
     server.deploy(first);
     server.start();
 
@@ -337,7 +337,7 @@ TEST(ServeServerTest, InProcessPredictMatchesWirePredict)
     const BundlePtr bundle = makeBundle(7);
     ServeOptions opts;
     opts.cache.capacity = 32;
-    InferenceServer server(opts);
+    EventServer server(opts);
     server.deploy(bundle);
     server.start();
 
@@ -355,7 +355,7 @@ TEST(ServeServerTest, PredictManyMixesCacheAndBatchCorrectly)
     const BundlePtr bundle = makeBundle(8);
     ServeOptions opts;
     opts.cache.capacity = 32;
-    InferenceServer server(opts);
+    EventServer server(opts);
     server.deploy(bundle);
 
     // Warm two of four keys, then ask for all four in one call.
@@ -380,7 +380,7 @@ TEST(ServeServerTest, PredictManyMixesCacheAndBatchCorrectly)
 
 TEST(ServeServerTest, StopIsIdempotentAndDrains)
 {
-    InferenceServer server;
+    EventServer server;
     server.deploy(makeBundle());
     server.start();
     EXPECT_TRUE(server.running());
@@ -394,7 +394,7 @@ TEST(ServeServerTest, StopIsIdempotentAndDrains)
     EXPECT_FALSE(server.running());
     server.stop(); // idempotent
     // A fresh server can bind again right away (no leaked listener).
-    InferenceServer again;
+    EventServer again;
     again.deploy(makeBundle());
     again.start();
     EXPECT_TRUE(again.running());
@@ -409,7 +409,7 @@ TEST(ServeServerTest, PerRequestBaselineModeAnswersIdentically)
     ServeOptions opts;
     opts.coalesceFrames = false;
     opts.batch.maxBatch = 1;
-    InferenceServer server(opts);
+    EventServer server(opts);
     server.deploy(bundle);
     server.start();
 
@@ -431,7 +431,7 @@ TEST(ServeServerTest, PerRequestBaselineModeAnswersIdentically)
 TEST(ServeServerTest, ObserveRoundTripsAndFeedsTheSink)
 {
     const BundlePtr bundle = makeBundle();
-    InferenceServer server;
+    EventServer server;
     server.deploy(bundle);
 
     // The sink sees (x, incumbent prediction, observation) for every
@@ -461,7 +461,7 @@ TEST(ServeServerTest, ObserveRoundTripsAndFeedsTheSink)
                        bundle->predict({1.0, 2.0, 3.0}));
     expectExactlyEqual(seen[0].observed, {4.0, 5.0});
     expectExactlyEqual(seen[1].observed, {1.0, 1.0});
-    const InferenceServer::Stats s = server.stats();
+    const ServeStats s = server.stats();
     EXPECT_EQ(s.observations, 2u);
     EXPECT_EQ(s.droppedObservations, 0u);
     EXPECT_EQ(s.errors, 0u);
@@ -469,7 +469,7 @@ TEST(ServeServerTest, ObserveRoundTripsAndFeedsTheSink)
 
 TEST(ServeServerTest, ObserveArityMismatchAnswersTypedAndKeepsServing)
 {
-    InferenceServer server;
+    EventServer server;
     server.deploy(makeBundle());
     server.start();
     net::ServeClient client =
@@ -486,7 +486,7 @@ TEST(ServeServerTest, ObserveArityMismatchAnswersTypedAndKeepsServing)
 
 TEST(ServeServerTest, ObserveWithoutModelAnswersTyped)
 {
-    InferenceServer server;
+    EventServer server;
     server.start();
     net::ServeClient client =
         net::ServeClient::connect(kHost, server.port());
@@ -497,7 +497,7 @@ TEST(ServeServerTest, ObserveWithoutModelAnswersTyped)
 TEST(ServeServerTest, JsonObserveSharesThePort)
 {
     const BundlePtr bundle = makeBundle();
-    InferenceServer server;
+    EventServer server;
     server.deploy(bundle);
     std::vector<Vector> observed;
     server.setObservationSink(
@@ -524,7 +524,7 @@ TEST(ServeServerTest, JsonObserveSharesThePort)
 TEST(ServeServerTest, FaultedSinkDropsRecordButStillAcks)
 {
     const BundlePtr bundle = makeBundle();
-    InferenceServer server;
+    EventServer server;
     server.deploy(bundle);
     std::size_t calls = 0;
     server.setObservationSink(
@@ -542,72 +542,8 @@ TEST(ServeServerTest, FaultedSinkDropsRecordButStillAcks)
     client.observe({3.0, 2.0, 3.0}, {1.0, 1.0});
     server.stop();
     EXPECT_EQ(calls, 3u);
-    const InferenceServer::Stats s = server.stats();
+    const ServeStats s = server.stats();
     EXPECT_EQ(s.observations, 3u);
     EXPECT_EQ(s.droppedObservations, 1u);
     EXPECT_EQ(s.errors, 0u);
-}
-
-TEST(ServeServerTest, MultiAcceptorServesEveryClientExactly)
-{
-    // SO_REUSEPORT fan-in: 4 accept loops share the port on the epoll
-    // engine; every client still gets bit-exact answers regardless of
-    // which listener the kernel hands it to.
-    const BundlePtr bundle = makeBundle(6, 2);
-    ServeOptions opts;
-    opts.acceptors = 4;
-    opts.shards = 2;
-    auto server =
-        wcnn::serve::makeServer(wcnn::serve::EngineKind::Epoll, opts);
-    server->deploy(bundle);
-    server->start();
-
-    constexpr int kClients = 12;
-    constexpr int kRequests = 20;
-    std::vector<std::thread> threads;
-    std::atomic<int> failures{0};
-    for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([&, c] {
-            try {
-                net::ServeClient client =
-                    net::ServeClient::connect(kHost, server->port());
-                Rng rng(1000 + static_cast<std::uint64_t>(c));
-                for (int i = 0; i < kRequests; ++i) {
-                    const Vector x{rng.uniform(-1, 1),
-                                   rng.uniform(-1, 1)};
-                    const Vector want = bundle->predict(x);
-                    const Vector got = client.predict(x);
-                    if (got != want)
-                        failures.fetch_add(1);
-                }
-            } catch (const std::exception &) {
-                failures.fetch_add(1);
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    server->stop();
-    EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(server->stats().accepted,
-              static_cast<std::uint64_t>(kClients));
-    EXPECT_EQ(server->stats().requests,
-              static_cast<std::uint64_t>(kClients * kRequests));
-}
-
-TEST(ServeServerTest, SingleAcceptorDefaultBehavesAsBefore)
-{
-    // acceptors=1 must not set SO_REUSEPORT or change observable
-    // behaviour: one listener, same accept/stop semantics.
-    ServeOptions opts;
-    opts.acceptors = 1;
-    auto server =
-        wcnn::serve::makeServer(wcnn::serve::EngineKind::Epoll, opts);
-    server->deploy(makeBundle());
-    server->start();
-    net::ServeClient client =
-        net::ServeClient::connect(kHost, server->port());
-    EXPECT_EQ(client.predict({1.0, 2.0, 3.0}).size(), 2u);
-    server->stop();
-    EXPECT_FALSE(server->running());
 }

@@ -1,14 +1,14 @@
 /**
  * @file
  * Protocol torture harness: hostile and degenerate clients against
- * BOTH serving engines. Where the equivalence suite proves the happy
- * paths byte-identical, this suite pins the ugly ones: byte-drip
+ * the server. Where the equivalence suite proves the happy paths
+ * byte-exact, this suite pins the ugly ones: byte-drip
  * feeds, length prefixes split across TCP segments, frames whose
  * declared lengths lie (oversized, zero), slow-loris connections
  * squatting past the idle timeout, and half-closed peers. The
- * contract is the same typed outcome on both engines — answered
- * exactly, answered with a typed error frame, or silently dropped at
- * the timeout — and never a hang and never a leaked file descriptor
+ * contract is a typed outcome — answered exactly, answered with a
+ * typed error frame, or silently dropped at the timeout — and never
+ * a hang and never a leaked file descriptor
  * (asserted by counting /proc/self/fd before and after each server's
  * full lifetime).
  *
@@ -35,8 +35,8 @@
 #include "nn/mlp.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
 #include "serve/error.hh"
+#include "serve/event_server.hh"
 #include "serve/net/client.hh"
 #include "serve/net/protocol.hh"
 #include "serve/net/socket.hh"
@@ -51,12 +51,10 @@ using wcnn::nn::Mlp;
 using wcnn::numeric::Rng;
 using wcnn::numeric::Vector;
 using wcnn::serve::BundlePtr;
-using wcnn::serve::EngineKind;
-using wcnn::serve::makeServer;
+using wcnn::serve::EventServer;
 using wcnn::serve::ModelBundle;
 using wcnn::serve::ServeError;
 using wcnn::serve::ServeOptions;
-using wcnn::serve::ServerEngine;
 
 namespace {
 
@@ -162,25 +160,25 @@ expectExactResponse(const net::Frame &frame, const BundlePtr &bundle,
         EXPECT_EQ(frame.values[j], want[j]);
 }
 
-class ServeTortureTest : public ::testing::TestWithParam<EngineKind>
+class ServeTortureTest : public ::testing::Test
 {
   protected:
-    std::unique_ptr<ServerEngine> makeEngine(ServeOptions opts = {})
+    std::unique_ptr<EventServer> newServer(ServeOptions opts = {})
     {
-        return makeServer(GetParam(), std::move(opts));
+        return std::make_unique<EventServer>(std::move(opts));
     }
 };
 
 } // namespace
 
 /** One byte per write: incremental decode must reassemble the frame
- *  and answer it exactly, on both engines. */
-TEST_P(ServeTortureTest, ByteDripFeedIsAnsweredExactly)
+ *  and answer it exactly. */
+TEST_F(ServeTortureTest, ByteDripFeedIsAnsweredExactly)
 {
     const BundlePtr bundle = makeBundle();
     const int fds_before = countOpenFds();
     {
-        auto server = makeEngine();
+        auto server = newServer();
         server->deploy(bundle);
         server->start();
 
@@ -203,12 +201,12 @@ TEST_P(ServeTortureTest, ByteDripFeedIsAnsweredExactly)
 
 /** The six-byte header itself split across segments, with a pause in
  *  the middle of the u32 length prefix. */
-TEST_P(ServeTortureTest, SplitLengthPrefixIsReassembled)
+TEST_F(ServeTortureTest, SplitLengthPrefixIsReassembled)
 {
     const BundlePtr bundle = makeBundle();
     const int fds_before = countOpenFds();
     {
-        auto server = makeEngine();
+        auto server = newServer();
         server->deploy(bundle);
         server->start();
 
@@ -231,12 +229,12 @@ TEST_P(ServeTortureTest, SplitLengthPrefixIsReassembled)
 
 /** A declared body length past kMaxFrameBody is malformed on sight:
  *  typed protocol error, then close — no attempt to buffer it. */
-TEST_P(ServeTortureTest, OversizedDeclaredLengthIsTypedErrorAndClose)
+TEST_F(ServeTortureTest, OversizedDeclaredLengthIsTypedErrorAndClose)
 {
     const BundlePtr bundle = makeBundle();
     const int fds_before = countOpenFds();
     {
-        auto server = makeEngine();
+        auto server = newServer();
         server->deploy(bundle);
         server->start();
 
@@ -259,12 +257,12 @@ TEST_P(ServeTortureTest, OversizedDeclaredLengthIsTypedErrorAndClose)
 
 /** A Request frame declaring a zero-length body cannot even hold its
  *  count field: typed protocol error, then close. */
-TEST_P(ServeTortureTest, ZeroDeclaredLengthRequestIsTypedErrorAndClose)
+TEST_F(ServeTortureTest, ZeroDeclaredLengthRequestIsTypedErrorAndClose)
 {
     const BundlePtr bundle = makeBundle();
     const int fds_before = countOpenFds();
     {
-        auto server = makeEngine();
+        auto server = newServer();
         server->deploy(bundle);
         server->start();
 
@@ -285,16 +283,15 @@ TEST_P(ServeTortureTest, ZeroDeclaredLengthRequestIsTypedErrorAndClose)
 
 /** A slow loris parks half a frame and goes quiet: the idle timeout
  *  must reclaim the connection (silent drop — garbage peers do not
- *  get a goodbye) on both engines, without touching a second, active
- *  connection. */
-TEST_P(ServeTortureTest, SlowLorisIsDroppedAtIdleTimeout)
+ *  get a goodbye), without touching a second, active connection. */
+TEST_F(ServeTortureTest, SlowLorisIsDroppedAtIdleTimeout)
 {
     const BundlePtr bundle = makeBundle();
     ServeOptions opts;
     opts.idleTimeoutMs = 200;
     const int fds_before = countOpenFds();
     {
-        auto server = makeEngine(opts);
+        auto server = newServer(opts);
         server->deploy(bundle);
         server->start();
 
@@ -333,12 +330,12 @@ TEST_P(ServeTortureTest, SlowLorisIsDroppedAtIdleTimeout)
 
 /** A peer that pipelines requests and immediately half-closes still
  *  gets every answer: EOF ends reading, not the replies. */
-TEST_P(ServeTortureTest, HalfCloseStillAnswersPipelinedFrames)
+TEST_F(ServeTortureTest, HalfCloseStillAnswersPipelinedFrames)
 {
     const BundlePtr bundle = makeBundle();
     const int fds_before = countOpenFds();
     {
-        auto server = makeEngine();
+        auto server = newServer();
         server->deploy(bundle);
         server->start();
 
@@ -363,15 +360,8 @@ TEST_P(ServeTortureTest, HalfCloseStillAnswersPipelinedFrames)
     EXPECT_EQ(countOpenFds(), fds_before) << "leaked a descriptor";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ServeTortureTest,
-    ::testing::Values(EngineKind::Threaded, EngineKind::Epoll),
-    [](const ::testing::TestParamInfo<EngineKind> &info) {
-        return std::string(wcnn::serve::engineName(info.param));
-    });
-
 /**
- * Client-side regression (engine-independent): a server dripping one
+ * Client-side regression: a fake server dripping one
  * byte per 50 ms never finishes a frame, but under the old per-read
  * timeout each drip reset the clock and the client waited forever.
  * The deadline must cover the WHOLE frame (client.cc names this test

@@ -53,7 +53,7 @@
 #include "numeric/rng.hh"
 #include "scenario/library.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
+#include "serve/event_server.hh"
 #include "serve/loadgen.hh"
 #include "sim/sample_space.hh"
 
@@ -557,10 +557,6 @@ serveOptionsFromArgs(const Args &args)
         "threads", static_cast<double>(opts.batch.threads)));
     opts.cache.capacity = static_cast<std::size_t>(args.num(
         "cache", static_cast<double>(opts.cache.capacity)));
-    opts.shards = static_cast<std::size_t>(
-        args.num("shards", static_cast<double>(opts.shards)));
-    opts.acceptors = static_cast<std::size_t>(
-        args.num("acceptors", static_cast<double>(opts.acceptors)));
     return opts;
 }
 
@@ -599,8 +595,6 @@ cmdServe(const Args &args)
     if (args.has("help")) {
         std::puts(
             "wcnn serve --model MODEL.bundle [--port P] [--host H]\n"
-            "           [--engine threaded|epoll] [--shards N] "
-            "[--acceptors N]\n"
             "           [--max-batch N] [--max-delay-us U] "
             "[--threads N]\n"
             "           [--cache N] [--max-conn N] [--idle-ms MS]\n"
@@ -609,14 +603,9 @@ cmdServe(const Args &args)
             "[lifecycle knobs]\n"
             "\n"
             "Serves predictions over TCP (binary frames or JSON "
-            "lines on one port).\n"
-            "--engine picks the front end: the threaded reference "
-            "server or the\n"
-            "epoll reactor with per-core shards (identical wire "
-            "behaviour; see\n"
-            "tests/serve_equivalence_test.cc). --acceptors > 1 runs "
-            "that many\n"
-            "SO_REUSEPORT accept loops (epoll engine only).\n"
+            "lines on one port)\n"
+            "from an epoll reactor with one event loop per core "
+            "(at most 8).\n"
             "--lifecycle attaches the model-lifecycle controller to "
             "the observation\n"
             "stream: drift detection, shadow retraining and gated "
@@ -642,11 +631,7 @@ cmdServe(const Args &args)
     auto bundle = std::make_shared<serve::ModelBundle>(
         serve::ModelBundle::load(model_path));
 
-    const serve::EngineKind engine =
-        serve::parseEngineKind(args.str("engine", "threaded"));
-    const std::unique_ptr<serve::ServerEngine> server_ptr =
-        serve::makeServer(engine, serveOptionsFromArgs(args));
-    serve::ServerEngine &server = *server_ptr;
+    serve::EventServer server(serveOptionsFromArgs(args));
     server.deploy(bundle);
 
     // --lifecycle: hang the controller off the observation sink so
@@ -680,11 +665,9 @@ cmdServe(const Args &args)
     }
 
     server.start();
-    std::printf("serving %s on %s:%u (engine %s, max-batch %zu, "
-                "cache %zu)\n",
+    std::printf("serving %s on %s:%u (max-batch %zu, cache %zu)\n",
                 bundle->describe().c_str(),
                 server.options().host.c_str(), server.port(),
-                serve::engineName(engine),
                 server.options().batch.maxBatch,
                 server.options().cache.capacity);
     std::fflush(stdout);
@@ -750,7 +733,6 @@ cmdBenchServe(const Args &args)
             "[--requests N]\n"
             "                 [--pipeline N] [--max-batch N] "
             "[--cache N] [--key-pool N]\n"
-            "                 [--engine threaded|epoll]\n"
             "\n"
             "Measures TCP serving throughput: per-request baseline "
             "vs micro-batched,\n"
@@ -777,8 +759,6 @@ cmdBenchServe(const Args &args)
     const auto cache_capacity =
         static_cast<std::size_t>(args.num("cache", 0));
 
-    const serve::EngineKind engine =
-        serve::parseEngineKind(args.str("engine", "threaded"));
     const auto run = [&](const char *label, std::size_t batch_rows,
                          bool coalesce, std::size_t cache_cap,
                          std::size_t key_pool) {
@@ -787,9 +767,7 @@ cmdBenchServe(const Args &args)
         opts.batch.maxBatch = batch_rows;
         opts.coalesceFrames = coalesce;
         opts.cache.capacity = cache_cap;
-        const std::unique_ptr<serve::ServerEngine> server_ptr =
-            serve::makeServer(engine, std::move(opts));
-        serve::ServerEngine &server = *server_ptr;
+        serve::EventServer server(std::move(opts));
         server.deploy(bundle);
         server.start();
         serve::LoadgenOptions shaped = load;
@@ -805,10 +783,9 @@ cmdBenchServe(const Args &args)
         return report;
     };
 
-    std::printf("bench-serve: engine %s, %zu clients x %zu requests, "
+    std::printf("bench-serve: %zu clients x %zu requests, "
                 "pipeline %zu\n",
-                serve::engineName(engine), load.clients,
-                load.requestsPerClient, load.pipeline);
+                load.clients, load.requestsPerClient, load.pipeline);
     const auto baseline = run("per-request", 1, false, 0, 0);
     const auto batched = run("micro-batched", max_batch, true, 0, 0);
     if (baseline.throughputRps > 0.0)
