@@ -2,8 +2,9 @@
  * @file
  * Lifecycle bench: drift-detection latency and shadow overhead.
  *
- * Two metrics land in BENCH_lifecycle.json (same array-append idiom
- * as BENCH_serve.json):
+ * Two metrics land in BENCH_lifecycle.json (common.hh
+ * appendJsonRecord), each record with the host's hardware thread
+ * count (`nproc`):
  *
  *  1. "drift_latency" — the stream goes stale at a known record; the
  *     number of further records the controller needs before it
@@ -23,12 +24,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common.hh"
+#include "core/parallel.hh"
 #include "core/telemetry.hh"
 #include "data/dataset.hh"
 #include "lifecycle/controller.hh"
@@ -101,33 +103,6 @@ lifecycleOptions()
     return opts;
 }
 
-/** Append one record object to BENCH_lifecycle.json (valid array). */
-void
-appendRecord(const std::string &record)
-{
-    static const char *path = "BENCH_lifecycle.json";
-    std::string body;
-    {
-        std::ifstream in(path);
-        if (in.good()) {
-            std::ostringstream all;
-            all << in.rdbuf();
-            body = all.str();
-        }
-    }
-    const auto end = body.find_last_of(']');
-    std::ofstream out(path, std::ios::trunc);
-    if (end == std::string::npos) {
-        out << "[\n" << record << "\n]\n";
-    } else {
-        body.erase(end);
-        while (!body.empty() &&
-               (body.back() == '\n' || body.back() == ' '))
-            body.pop_back();
-        out << body << ",\n" << record << "\n]\n";
-    }
-}
-
 /**
  * Feed a stable stream, go stale at `stale_at`, and count the records
  * from staleness to the drift decision.
@@ -170,12 +145,13 @@ benchDriftLatency(const serve::ModelBundle &incumbent,
 
     std::ostringstream record;
     record << "  {\"bench\": \"bench_lifecycle\", "
-           << "\"metric\": \"drift_latency\", \"window\": " << window
+           << "\"metric\": \"drift_latency\", \"nproc\": "
+           << core::hardwareThreads() << ", \"window\": " << window
            << ", \"patience\": " << patience
            << ", \"threshold\": " << opts.drift.threshold
            << ", \"stale_at\": " << stale_at
            << ", \"latency_records\": " << latency << "}";
-    appendRecord(record.str());
+    bench::appendJsonRecord("BENCH_lifecycle.json", record.str());
     std::printf("[lifecycle] drift latency  window %2zu  patience %zu  "
                 "stale@%-3zu -> %3zu records\n",
                 window, patience, stale_at, latency);
@@ -277,15 +253,16 @@ benchShadowOverhead(
 
     std::ostringstream record;
     record << "  {\"bench\": \"bench_lifecycle\", "
-           << "\"metric\": \"shadow_overhead\", \"predicts\": "
-           << predicts << ", \"observe_every\": 8"
+           << "\"metric\": \"shadow_overhead\", \"nproc\": "
+           << core::hardwareThreads() << ", \"predicts\": " << predicts
+           << ", \"observe_every\": 8"
            << ", \"baseline_rps\": " << base_rps
            << ", \"shadow_rps\": " << shadow_rps
            << ", \"overhead_pct\": " << overhead_pct
            << ", \"tripwire_pct\": " << kTripwirePct
            << ", \"within_tripwire\": " << (within ? "true" : "false")
            << "}";
-    appendRecord(record.str());
+    bench::appendJsonRecord("BENCH_lifecycle.json", record.str());
     std::printf("[lifecycle] shadow overhead  %zu predicts  "
                 "baseline %.0f/s  shadowing %.0f/s  overhead %.2f%%  "
                 "tripwire %.0f%% -> %s\n",

@@ -8,14 +8,14 @@
  * machines.
  *
  * Appends one JSON record per scenario to BENCH_scenarios.json in the
- * working directory (array-append, same idiom as bench_serve).
+ * working directory (common.hh appendJsonRecord).
  */
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common.hh"
 #include "core/telemetry.hh"
 #include "data/csv.hh"
 #include "numeric/rng.hh"
@@ -42,8 +42,6 @@ appendRecord(const std::string &name, const char *arrival,
              std::size_t rows, double mfg_rt, double tput,
              double seconds, const std::string &digest)
 {
-    static const char *path = "BENCH_scenarios.json";
-
     std::ostringstream record;
     record << "  {\"bench\": \"bench_scenarios\", \"scenario\": \""
            << name << "\", \"arrival\": \"" << arrival
@@ -53,26 +51,7 @@ appendRecord(const std::string &name, const char *arrival,
            << ", \"collect_seconds\": " << seconds
            << ", \"dataset_digest\": \"" << digest << "\"}";
 
-    std::string body;
-    {
-        std::ifstream in(path);
-        if (in.good()) {
-            std::ostringstream all;
-            all << in.rdbuf();
-            body = all.str();
-        }
-    }
-    const auto end = body.find_last_of(']');
-    std::ofstream out(path, std::ios::trunc);
-    if (end == std::string::npos) {
-        out << "[\n" << record.str() << "\n]\n";
-    } else {
-        body.erase(end);
-        while (!body.empty() &&
-               (body.back() == '\n' || body.back() == ' '))
-            body.pop_back();
-        out << body << ",\n" << record.str() << "\n]\n";
-    }
+    bench::appendJsonRecord("BENCH_scenarios.json", record.str());
 }
 
 } // namespace

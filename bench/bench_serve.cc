@@ -15,22 +15,20 @@
  *                       hit-ratio effect.
  *
  * Each mode's throughput and window-RTT percentiles are appended to
- * BENCH_serve.json (same array-append idiom as BENCH_parallel.json)
- * with the speedup over the per-request baseline and the host's
- * hardware thread count (`nproc`), so CI tracks the batching gain
- * release over release. Numbers are host-dependent; single-core
- * containers understate the batched forward's pool speedup but still
- * show the wakeup/syscall amortization.
+ * BENCH_serve.json (common.hh appendJsonRecord) with the speedup
+ * over the per-request baseline and the host's hardware thread count
+ * (`nproc`), so CI tracks the batching gain release over release.
+ * Numbers are host-dependent.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
+#include "common.hh"
 #include "core/parallel.hh"
 #include "data/standardizer.hh"
 #include "nn/mlp.hh"
@@ -77,8 +75,6 @@ void
 appendServeRecord(const std::string &mode, const LoadgenOptions &load,
                   const LoadgenReport &report, double speedup)
 {
-    static const char *path = "BENCH_serve.json";
-
     std::ostringstream record;
     record << "  {\"bench\": \"bench_serve\", \"mode\": \"" << mode
            << "\", \"nproc\": " << wcnn::core::hardwareThreads()
@@ -91,26 +87,7 @@ appendServeRecord(const std::string &mode, const LoadgenOptions &load,
            << ", \"p99_us\": " << report.p99Us
            << ", \"speedup_vs_per_request\": " << speedup << "}";
 
-    std::string body;
-    {
-        std::ifstream in(path);
-        if (in.good()) {
-            std::ostringstream all;
-            all << in.rdbuf();
-            body = all.str();
-        }
-    }
-    const auto end = body.find_last_of(']');
-    std::ofstream out(path, std::ios::trunc);
-    if (end == std::string::npos) {
-        out << "[\n" << record.str() << "\n]\n";
-    } else {
-        body.erase(end);
-        while (!body.empty() &&
-               (body.back() == '\n' || body.back() == ' '))
-            body.pop_back();
-        out << body << ",\n" << record.str() << "\n]\n";
-    }
+    wcnn::bench::appendJsonRecord("BENCH_serve.json", record.str());
 
     std::printf("[serve] %-13s %8.0f req/s   p50 %8.1f us   "
                 "p99 %8.1f us   errors %zu   speedup %.2fx\n",

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
+#include <sstream>
 
 #include "data/csv.hh"
 #include "sim/sample_space.hh"
@@ -163,6 +164,32 @@ void
 printHeader(const std::string &title)
 {
     std::printf("\n==== %s ====\n", title.c_str());
+}
+
+void
+appendJsonRecord(const std::string &path, const std::string &record)
+{
+    std::string body;
+    {
+        std::ifstream in(path);
+        if (in.good()) {
+            std::ostringstream all;
+            all << in.rdbuf();
+            body = all.str();
+        }
+    }
+    // Drop the closing bracket, add the record, close again.
+    const auto end = body.find_last_of(']');
+    std::ofstream out(path, std::ios::trunc);
+    if (end == std::string::npos) {
+        out << "[\n" << record << "\n]\n";
+    } else {
+        body.erase(end);
+        while (!body.empty() &&
+               (body.back() == '\n' || body.back() == ' '))
+            body.pop_back();
+        out << body << ",\n" << record << "\n]\n";
+    }
 }
 
 } // namespace bench

@@ -10,6 +10,9 @@
  * 5-fold cross validation, and a final surrogate fitted on all
  * samples. The collected dataset is cached as CSV next to the bench
  * binaries so subsequent benches skip the simulation.
+ *
+ * Every bench, figure or not, appends its BENCH_*.json records through
+ * appendJsonRecord().
  */
 
 #ifndef WCNN_BENCH_COMMON_HH
@@ -66,6 +69,16 @@ void printVerdict(const std::string &what, bool pass);
 
 /** Print a section separator with a title. */
 void printHeader(const std::string &title);
+
+/**
+ * Append one JSON object to the JSON array in `path` (created on
+ * first use; the file stays a valid array across appends, so benches
+ * and repeated runs can share one record file).
+ *
+ * @param path   Record file, relative to the working directory.
+ * @param record One JSON object, as text.
+ */
+void appendJsonRecord(const std::string &path, const std::string &record);
 
 } // namespace bench
 } // namespace wcnn

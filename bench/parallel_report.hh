@@ -1,11 +1,10 @@
 /**
  * @file
- * Shared helpers for the serial-vs-parallel bench reports.
- *
- * Header-only so both the figure benches (wcnn_bench_common) and the
- * google-benchmark binaries can use it without extra link edges:
+ * Shared helpers for the serial-vs-parallel bench reports, used by
+ * the figure benches and the google-benchmark binaries alike:
  * `--threads N` argv parsing and the BENCH_parallel.json record sink
- * that CI uploads as an artifact. Wall-clock timing lives in
+ * that CI uploads as an artifact (appended through
+ * appendJsonRecord, common.hh). Wall-clock timing lives in
  * core/telemetry.hh (timedSeconds) — the one sanctioned clock (lint
  * rule R5).
  */
@@ -16,9 +15,10 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
+
+#include "common.hh"
 
 namespace wcnn {
 namespace bench {
@@ -71,7 +71,6 @@ appendParallelRecord(const std::string &bench, const std::string &stage,
                      std::size_t threads, double serial_s,
                      double parallel_s, bool identical)
 {
-    static const char *path = "BENCH_parallel.json";
     const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
 
     std::ostringstream record;
@@ -82,28 +81,7 @@ appendParallelRecord(const std::string &bench, const std::string &stage,
            << ", \"speedup\": " << speedup << ", \"bit_identical\": "
            << (identical ? "true" : "false") << "}";
 
-    std::string body;
-    {
-        std::ifstream in(path);
-        if (in.good()) {
-            std::ostringstream all;
-            all << in.rdbuf();
-            body = all.str();
-        }
-    }
-    // Keep the file a valid JSON array across appends: drop the
-    // closing bracket, add the record, close again.
-    const auto end = body.find_last_of(']');
-    std::ofstream out(path, std::ios::trunc);
-    if (end == std::string::npos) {
-        out << "[\n" << record.str() << "\n]\n";
-    } else {
-        body.erase(end);
-        while (!body.empty() &&
-               (body.back() == '\n' || body.back() == ' '))
-            body.pop_back();
-        out << body << ",\n" << record.str() << "\n]\n";
-    }
+    appendJsonRecord("BENCH_parallel.json", record.str());
 
     std::printf("[parallel] %s/%s: serial %.3fs, %zu threads %.3fs, "
                 "speedup %.2fx, bit-identical %s\n",

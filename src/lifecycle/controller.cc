@@ -212,7 +212,6 @@ LifecycleController::monitorLocked(const ObservationRecord &rec)
     WCNN_EVENT("lifecycle.shadow.start");
     detector.reset();
     shadowBuffer.clear();
-    shadowBuffer.reserve(opts.shadowWindow);
     currentStage = Stage::Shadowing;
 }
 

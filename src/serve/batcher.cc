@@ -76,13 +76,10 @@ MicroBatcher::resolve(Group &group, BatchOutcome outcome)
 
 MicroBatcher::MicroBatcher(BundleRegistry &registry,
                            BatcherOptions options)
-    : registry(registry), opts(options),
-      pool(options.threads == 0 ? core::hardwareThreads()
-                                : options.threads)
+    : registry(registry), opts(options)
 {
     WCNN_REQUIRE(opts.maxBatch >= 1, "maxBatch must be >= 1");
     WCNN_REQUIRE(opts.maxQueueRows >= 1, "maxQueueRows must be >= 1");
-    WCNN_REQUIRE(opts.maxDelayUs >= 0, "maxDelayUs must be >= 0");
     dispatcher = std::thread([this] { dispatchLoop(); });
 }
 
@@ -165,13 +162,6 @@ MicroBatcher::stats() const
     return counters;
 }
 
-std::size_t
-MicroBatcher::queuedRows() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return pendingRows;
-}
-
 void
 MicroBatcher::dispatchLoop()
 {
@@ -179,30 +169,13 @@ MicroBatcher::dispatchLoop()
     for (;;) {
         queueReady.wait(lock,
                         [this] { return stopping || !queue.empty(); });
-        if (queue.empty()) {
-            if (stopping)
-                return;
-            continue;
-        }
+        if (queue.empty())
+            return; // stopping, and every queued group has executed
 
-        // Batch window: wait for the batch to fill, bounded by the
-        // oldest group's delay budget. Skipped once draining — a
-        // shutdown should not linger for stragglers that will never
-        // arrive.
-        if (!stopping && opts.maxDelayUs > 0) {
-            const std::int64_t deadline =
-                queue.front().enqueuedNs + opts.maxDelayUs * 1000;
-            while (!stopping && pendingRows < opts.maxBatch) {
-                const std::int64_t now = core::telemetry::nowNs();
-                if (now >= deadline)
-                    break;
-                queueReady.wait_for(
-                    lock, std::chrono::nanoseconds(deadline - now));
-            }
-        }
-
-        // Coalesce whole groups up to the row budget; always take at
-        // least one so an oversized group still executes (alone).
+        // Take what is queued, never wait for more: whole groups up
+        // to the row budget, always at least one so an oversized group
+        // still executes (alone). Rows that arrive during the forward
+        // form the next batch.
         std::vector<Group> batch;
         std::size_t batch_rows = 0;
         while (!queue.empty()) {
@@ -287,9 +260,7 @@ MicroBatcher::executeBatch(std::vector<Group> &batch,
     if (valid.empty())
         return;
 
-    // One concatenated forward for the whole batch; rows are
-    // independent, so chunking across the pool stays bit-identical
-    // (index-addressed slots, core/parallel.hh contract).
+    // One concatenated forward for the whole batch.
     numeric::Matrix xs(valid_rows, bundle->inputDim());
     std::size_t row = 0;
     for (const Group *group : valid)
@@ -305,27 +276,7 @@ MicroBatcher::executeBatch(std::vector<Group> &batch,
 
     numeric::Matrix ys;
     try {
-        const std::size_t runners = pool.threads();
-        if (runners <= 1 || valid_rows < 2 * runners) {
-            ys = bundle->predictAll(xs);
-        } else {
-            ys = numeric::Matrix(valid_rows, bundle->outputDim());
-            const std::size_t chunk =
-                (valid_rows + runners - 1) / runners;
-            const std::size_t n_chunks =
-                (valid_rows + chunk - 1) / chunk;
-            pool.forEach(n_chunks, [&](std::size_t c) {
-                const std::size_t lo = c * chunk;
-                const std::size_t hi =
-                    std::min(valid_rows, lo + chunk);
-                numeric::Matrix part(hi - lo, xs.cols());
-                for (std::size_t i = lo; i < hi; ++i)
-                    part.setRow(i - lo, xs.row(i));
-                const numeric::Matrix out = bundle->predictAll(part);
-                for (std::size_t i = lo; i < hi; ++i)
-                    ys.setRow(i, out.row(i - lo));
-            });
-        }
+        ys = bundle->predictAll(xs);
     } catch (const wcnn::Error &e) {
         // Faults must not kill the dispatcher: the waiting callers
         // get the failure (kind and text preserved), the server

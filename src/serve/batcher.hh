@@ -3,24 +3,23 @@
  * Micro-batching prediction queue.
  *
  * Concurrent predict requests are coalesced into batched
- * Mlp::forward(Matrix) sweeps: a dispatcher thread collects request
- * groups until either `maxBatch` input rows are pending or the oldest
- * group has waited `maxDelayUs`, concatenates them into one matrix,
- * runs a single batched forward (fanned across a core::ThreadPool for
- * multi-core hosts), and scatters the result rows back to the
- * waiting callers. Batching amortizes the per-request costs — one
- * dispatcher wakeup, one set of layer allocations, one standardize
- * pass per *batch* instead of per request — which is where the
- * serving throughput comes from (see bench/bench_serve.cc).
+ * Mlp::forward(Matrix) sweeps: a dispatcher thread wakes on the first
+ * queued group, takes every whole group queued (up to `maxBatch`
+ * rows, always at least one group), concatenates them into one
+ * matrix, runs a single batched forward, and scatters the result
+ * rows back to the waiting callers. It never waits for a batch to
+ * fill: rows that arrive during a forward form the next batch.
+ * Batching amortizes the per-request costs — one dispatcher wakeup,
+ * one set of layer allocations, one standardize pass per *batch*
+ * instead of per request — which is where the serving throughput
+ * comes from (see bench/bench_serve.cc).
  *
  * Determinism contract: a batched run is bit-identical to calling
  * ModelBundle::predict per request. This holds by construction at
- * every batch composition and thread count: Mlp::forward(Matrix) and
- * the standardizer transforms perform the same scalar operations in
- * the same order per row regardless of which other rows share the
- * matrix, and the thread-pool fan-out splits rows into
- * index-addressed chunks (core/parallel.hh determinism contract).
- * Pinned by tests/serve_batching_test.cc.
+ * every batch composition: Mlp::forward(Matrix) and the standardizer
+ * transforms perform the same scalar operations in the same order
+ * per row regardless of which other rows share the matrix. Pinned by
+ * tests/serve_batching_test.cc.
  *
  * Admission control: the queue is bounded in rows; a submit that
  * would exceed the bound throws serve::Overloaded instead of
@@ -43,8 +42,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "core/parallel.hh"
 #include "numeric/matrix.hh"
 #include "serve/registry.hh"
 
@@ -60,21 +59,8 @@ struct BatcherOptions
      */
     std::size_t maxBatch = 64;
 
-    /**
-     * Longest time the oldest pending group waits for the batch to
-     * fill before the dispatcher runs a partial batch.
-     */
-    std::int64_t maxDelayUs = 200;
-
     /** Queued-row bound; beyond it submits throw Overloaded. */
     std::size_t maxQueueRows = 4096;
-
-    /**
-     * Thread-pool runners for the batched forward; 1 keeps the
-     * forward on the dispatcher thread (no pool synchronization),
-     * 0 selects core::hardwareThreads().
-     */
-    std::size_t threads = 1;
 };
 
 /**
@@ -105,7 +91,7 @@ struct BatchOutcome
 class PredictionFuture
 {
   public:
-    /** An empty future (no group); valid() is false. */
+    /** An empty future (no group). */
     PredictionFuture() = default;
 
     /**
@@ -117,9 +103,6 @@ class PredictionFuture
      *         plain wcnn::Error for foreign kinds.
      */
     numeric::Matrix get();
-
-    /** Whether the future still owns a pending outcome. */
-    bool valid() const { return inner.valid(); }
 
     /** Whether get() would return without blocking. */
     bool ready() const;
@@ -211,9 +194,6 @@ class MicroBatcher
     /** Exact counters so far. */
     Stats stats() const;
 
-    /** Rows currently queued (racy snapshot; exact when quiescent). */
-    std::size_t queuedRows() const;
-
   private:
     /** One submitMany() call. */
     struct Group
@@ -236,7 +216,6 @@ class MicroBatcher
 
     BundleRegistry &registry;
     const BatcherOptions opts;
-    core::ThreadPool pool;
 
     mutable std::mutex mutex;
     std::condition_variable queueReady;

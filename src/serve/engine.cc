@@ -23,8 +23,9 @@ elapsedUs(std::int64_t start_ns, std::int64_t end_ns)
 
 // ServeCore ----------------------------------------------------------
 
-ServeCore::ServeCore(const ServeOptions &options)
-    : opts(options), cache(opts.cache), queue(bundles, opts.batch)
+ServeCore::ServeCore(ServeOptions options)
+    : opts(std::move(options)), cache(opts.cache),
+      queue(bundles, opts.batch)
 {
     WCNN_REQUIRE(opts.maxConnections >= 1,
                  "maxConnections must be >= 1");
@@ -97,47 +98,6 @@ ServeCore::predict(const numeric::Vector &x)
     if (bundles.version() == version)
         cache.insert(x, y);
     return y;
-}
-
-numeric::Matrix
-ServeCore::predictMany(const numeric::Matrix &xs)
-{
-    if (xs.rows() == 0)
-        throw BadRequest("empty request group");
-    const BundlePtr bundle = bundles.active();
-    if (bundle == nullptr)
-        throw NoModelError();
-    if (xs.cols() != bundle->inputDim())
-        throw BadRequest("request has " + std::to_string(xs.cols()) +
-                         " inputs, bundle expects " +
-                         std::to_string(bundle->inputDim()));
-
-    numeric::Matrix ys(xs.rows(), bundle->outputDim());
-    std::vector<std::size_t> miss_rows;
-    numeric::Vector y;
-    for (std::size_t i = 0; i < xs.rows(); ++i) {
-        if (cache.lookup(xs.row(i), y))
-            ys.setRow(i, y);
-        else
-            miss_rows.push_back(i);
-    }
-    if (miss_rows.empty())
-        return ys;
-
-    const std::uint64_t version = bundles.version();
-    numeric::Matrix misses(miss_rows.size(), xs.cols());
-    for (std::size_t k = 0; k < miss_rows.size(); ++k)
-        misses.setRow(k, xs.row(miss_rows[k]));
-    const numeric::Matrix computed =
-        queue.submitMany(std::move(misses)).get();
-    const bool cacheable = bundles.version() == version;
-    for (std::size_t k = 0; k < miss_rows.size(); ++k) {
-        const numeric::Vector row = computed.row(k);
-        ys.setRow(miss_rows[k], row);
-        if (cacheable)
-            cache.insert(xs.row(miss_rows[k]), row);
-    }
-    return ys;
 }
 
 std::vector<ServeCore::PendingGroup>

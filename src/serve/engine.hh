@@ -2,9 +2,11 @@
  * @file
  * The serving core: everything a request needs except the transport.
  *
- * ServeCore owns the BundleRegistry (hot swap), the PredictionCache,
- * the MicroBatcher, and the exact wire counters, and answers
- * requests cache-then-batch. It knows nothing about sockets: the
+ * ServeCore owns its copy of the ServeOptions, the BundleRegistry
+ * (hot swap), the PredictionCache, the MicroBatcher, and the exact
+ * wire counters, and answers requests cache-then-batch: hits inline,
+ * misses as one batcher group that the dispatcher runs together with
+ * whatever else is queued. It knows nothing about sockets: the
  * EventServer (event_server.hh) feeds it through one Session per
  * connection (session.hh), while bench_lifecycle and
  * chaos_lifecycle_test drive it directly with no transport at all.
@@ -61,13 +63,6 @@ struct ServeOptions
      */
     bool coalesceFrames = true;
 
-    /**
-     * Number of shard event loops the acceptor distributes
-     * connections over (round-robin). 0 selects one per hardware
-     * thread, capped at 8.
-     */
-    std::size_t shards = 0;
-
     /** Micro-batching knobs. */
     BatcherOptions batch;
 
@@ -103,8 +98,8 @@ struct ServeStats
 class ServeCore
 {
   public:
-    /** @param options The owning server's configuration. */
-    explicit ServeCore(const ServeOptions &options);
+    /** @param options The server configuration (copied). */
+    explicit ServeCore(ServeOptions options);
 
     ServeCore(const ServeCore &) = delete;
     ServeCore &operator=(const ServeCore &) = delete;
@@ -146,9 +141,6 @@ class ServeCore
 
     /** In-process predict: cache, then micro-batcher on a miss. */
     numeric::Vector predict(const numeric::Vector &x);
-
-    /** In-process batched predict (row i of the result = row i in). */
-    numeric::Matrix predictMany(const numeric::Matrix &xs);
 
     /** Result callback: (request index, prediction). */
     using OnResult =
@@ -225,7 +217,7 @@ class ServeCore
     ServeStats statsSnapshot() const;
 
   private:
-    const ServeOptions &opts;
+    const ServeOptions opts;
     BundleRegistry bundles;
     PredictionCache cache;
     MicroBatcher queue;

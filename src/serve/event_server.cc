@@ -411,9 +411,7 @@ EventServer::start()
     WCNN_REQUIRE(!accepting.load() && !stopping.load(),
                  "start() on a running or stopped server");
     const std::size_t shard_count =
-        opts.shards > 0
-            ? opts.shards
-            : std::min<std::size_t>(core::hardwareThreads(), 8);
+        std::min<std::size_t>(core::hardwareThreads(), 8);
     workers.reserve(shard_count);
     for (std::size_t i = 0; i < shard_count; ++i)
         workers.push_back(std::make_unique<Shard>(*this));

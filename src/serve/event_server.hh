@@ -20,8 +20,8 @@
  * A request never blocks its shard: misses are submitted to the
  * micro-batcher and their reply slots wait in the Session's outbox;
  * the batcher's completion hook wakes the shard to emit them. So a
- * request arriving while another group is in its batch window joins
- * the next group at once instead of waiting behind a blocked reader
+ * request arriving while a batch runs its forward is decoded at once
+ * and joins the next batch instead of waiting behind a blocked reader
  * (DESIGN.md §5.7 has the measurement that chose this design).
  *
  * Reply bytes and their order, typed rejections, admission control,
@@ -108,12 +108,6 @@ class EventServer
     numeric::Vector predict(const numeric::Vector &x)
     {
         return core.predict(x);
-    }
-
-    /** In-process batched predict. */
-    numeric::Matrix predictMany(const numeric::Matrix &xs)
-    {
-        return core.predictMany(xs);
     }
 
     /**

@@ -14,8 +14,11 @@
  * "one poisoned connection never kills its shard loop" — a shard
  * multiplexes many connections onto one thread, so a leaked
  * exception there would take innocent connections down with it. The
- * shards=1 scenarios force every connection onto the same loop to
- * make that exact mistake fatal.
+ * bystander scenarios connect kBystanders clients before the
+ * poisoned one: the server runs at most 8 shard loops and assigns
+ * connections round-robin, so at least one bystander shares the
+ * poisoned connection's loop at any shard count, which makes that
+ * exact mistake fatal.
  *
  * Failpoint scenarios need library-side injection sites, so they
  * skip when the serve library was built with WCNN_NO_FAILPOINTS.
@@ -93,6 +96,9 @@ makeBundle(std::uint64_t seed = 1)
 }
 
 const Vector kX{1.0, -0.5, 2.0};
+
+/** One bystander connection per possible shard loop (at most 8). */
+constexpr std::size_t kBystanders = 8;
 
 /** A fresh connection must answer exactly (post-fault recovery). */
 void
@@ -224,24 +230,22 @@ TEST_F(ChaosServeTest, AcceptFaultDropsOneConnectionThenRecovers)
 }
 
 /**
- * The event-loop sharpening of blast-radius containment: with every
- * connection forced onto ONE shard loop, a peer that sends wire
- * garbage gets its typed protocol error and its close — while the
- * other connections multiplexed on the very same loop thread keep
- * being served exactly.
+ * The event-loop sharpening of blast-radius containment: a peer that
+ * sends wire garbage gets its typed protocol error and its close —
+ * while the other connections, at least one of them multiplexed on
+ * the very same loop thread, keep being served exactly.
  */
 TEST_F(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
 {
     const BundlePtr bundle = makeBundle();
-    ServeOptions opts;
-    opts.shards = 1;
-    auto server = newServer(opts);
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
-    // Three bystanders sharing the poisoned connection's shard.
+    // One bystander per possible shard: the poisoned connection's
+    // shard serves at least one of them.
     std::vector<net::ServeClient> bystanders;
-    for (int i = 0; i < 3; ++i)
+    for (std::size_t i = 0; i < kBystanders; ++i)
         bystanders.push_back(
             net::ServeClient::connect(kHost, server->port()));
 
@@ -255,7 +259,8 @@ TEST_F(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
     EXPECT_EQ(answer.errorKind, "serve.protocol");
     EXPECT_THROW((void)poisoned.readFrame(), ServeError);
 
-    // Every bystander on the same shard still gets exact answers.
+    // Every bystander, on its shard or another, still gets exact
+    // answers.
     for (net::ServeClient &client : bystanders) {
         const Vector got = client.predict(kX);
         const Vector want = bundle->predict(kX);
@@ -267,23 +272,24 @@ TEST_F(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
     server->stop();
 }
 
-/** Same single-shard setup, but the poison is an injected decode
- *  fault instead of wire garbage. */
+/** Same bystander setup, but the poison is an injected decode fault
+ *  instead of wire garbage. */
 TEST_F(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    ServeOptions opts;
-    opts.shards = 1;
-    auto server = newServer(opts);
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
-    net::ServeClient bystander =
-        net::ServeClient::connect(kHost, server->port());
-    // Warm the bystander so its connection is fully established and
+    // Warm every bystander so its connection is fully established and
     // mode-detected before the fault arms.
-    (void)bystander.predict(kX);
+    std::vector<net::ServeClient> bystanders;
+    for (std::size_t i = 0; i < kBystanders; ++i) {
+        bystanders.push_back(
+            net::ServeClient::connect(kHost, server->port()));
+        (void)bystanders.back().predict(kX);
+    }
 
     fp::armFromSpec("serve.decode=nth:1");
     net::ServeClient poisoned =
@@ -292,13 +298,16 @@ TEST_F(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
     EXPECT_EQ(fp::fires("serve.decode"), 1u);
     fp::reset();
 
-    // The bystander's shard loop survived its neighbour's fault.
+    // The poisoned connection's shard loop survived the fault, and so
+    // did every other one.
     const Vector probe{0.25, 0.5, -0.75};
-    const Vector got = bystander.predict(probe);
     const Vector want = bundle->predict(probe);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t j = 0; j < want.size(); ++j)
-        EXPECT_EQ(got[j], want[j]);
+    for (net::ServeClient &client : bystanders) {
+        const Vector got = client.predict(probe);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t j = 0; j < want.size(); ++j)
+            EXPECT_EQ(got[j], want[j]);
+    }
     server->stop();
 }
 

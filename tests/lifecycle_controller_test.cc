@@ -2,9 +2,10 @@
  * @file
  * The lifecycle state machine end to end: a drifting stream promotes
  * a retrained candidate, a transient blip is rejected at the gate,
- * rollback() restores the displaced incumbent, and the promoted
- * registry stays consistent under concurrent predict traffic (the
- * suite the TSan preset exercises).
+ * rollback() restores the displaced incumbent, a huge shadow window
+ * costs no memory up front, and the promoted registry stays
+ * consistent under concurrent predict traffic (the suite the TSan
+ * preset exercises).
  */
 
 #include <gtest/gtest.h>
@@ -153,6 +154,31 @@ TEST(LifecycleController, RollbackAbandonsInFlightShadow)
 
     EXPECT_TRUE(controller.rollback());
     EXPECT_EQ(controller.stage(), Stage::Monitoring);
+    EXPECT_EQ(registry.active().get(), incumbent.get());
+}
+
+TEST(LifecycleController, HugeShadowWindowKeepsRecording)
+{
+    // The shadow window counts records; it reserves nothing up front,
+    // so a window far beyond memory still shadows and keeps recording.
+    const auto incumbent = makeIncumbent();
+    serve::BundleRegistry registry;
+    registry.swap(incumbent);
+    lifecycle::RegistryHost host(registry);
+    lifecycle::LifecycleOptions opts = testOptions();
+    opts.shadowWindow = std::size_t{1} << 30;
+    LifecycleController controller(host, opts);
+
+    lifecycle::Journal journal = promotionJournal(*incumbent);
+    numeric::Rng rng(34);
+    appendSegment(journal, *incumbent, rng, 64, Truth::Drifted);
+    feedAll(controller, journal);
+
+    EXPECT_EQ(controller.stage(), Stage::Shadowing);
+    const auto stats = controller.stats();
+    EXPECT_EQ(stats.records, journal.records.size());
+    EXPECT_EQ(stats.drifts, 1u);
+    EXPECT_EQ(stats.promotions + stats.rejections, 0u);
     EXPECT_EQ(registry.active().get(), incumbent.get());
 }
 

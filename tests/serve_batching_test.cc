@@ -2,12 +2,18 @@
  * @file
  * MicroBatcher determinism and admission control. The central claim —
  * a batched run is bit-identical to per-request ModelBundle::predict,
- * at every batch composition and thread count — is checked under real
- * concurrency (many client threads hammering one batcher) with exact
- * double equality, at pool sizes 1 and 4. Also pins: group atomicity
- * (a group larger than maxBatch still runs whole), typed admission
- * failures (Overloaded / NoModelError / BadRequest / stopped),
- * drain-on-stop, and counter arithmetic.
+ * at every batch composition — is checked under real concurrency
+ * (many client threads hammering one batcher) with exact double
+ * equality. Also pins: group atomicity (a group larger than maxBatch
+ * still runs whole), the dispatch rule (one batch takes every group
+ * queued, never waiting for more), typed admission failures
+ * (Overloaded / NoModelError / BadRequest / stopped), drain-on-stop,
+ * and counter arithmetic.
+ *
+ * Tests that need groups to stay queued hold the dispatcher without a
+ * sleep: one group on a deliberately slow bundle (a wide hidden
+ * layer) is submitted first, and the groups under test are queued
+ * once stats().batches shows the dispatcher took it.
  */
 
 #include <gtest/gtest.h>
@@ -47,12 +53,17 @@ using wcnn::serve::ServeError;
 
 namespace {
 
+/**
+ * A 3-in/2-out bundle with `width` logistic hidden units. A wide layer
+ * makes a deliberately slow bundle: a forward costs about 20 ns per
+ * hidden unit per row on a 4-vCPU x86-64 host.
+ */
 BundlePtr
-makeBundle(std::uint64_t seed = 1)
+makeBundle(std::uint64_t seed = 1, std::size_t width = 8)
 {
     Rng rng(seed);
     Mlp net(3,
-            {LayerSpec{8, Activation::logistic(1.0)},
+            {LayerSpec{width, Activation::logistic(1.0)},
              LayerSpec{2, Activation::identity()}},
             InitRule::SmallUniform, rng);
     return std::make_shared<const ModelBundle>(ModelBundle::fromParts(
@@ -62,29 +73,48 @@ makeBundle(std::uint64_t seed = 1)
         {"a", "b", "c"}, {"u", "v"}, "batching"));
 }
 
+/** Width that makes a one- or two-row hold last about 10 ms. */
+constexpr std::size_t kSlowWidth = std::size_t{1} << 18;
+
+/**
+ * Occupy the dispatcher: submit one `rows`-row group and return once
+ * the dispatcher has taken it, so the groups submitted next stay
+ * queued behind its forward.
+ */
+PredictionFuture
+holdDispatcher(MicroBatcher &batcher, std::size_t rows)
+{
+    const std::uint64_t taken = batcher.stats().batches;
+    PredictionFuture hold = batcher.submitMany(Matrix(rows, 3));
+    while (batcher.stats().batches == taken)
+        std::this_thread::yield();
+    return hold;
+}
+
 Vector
 randomInput(Rng &rng)
 {
     return {rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3)};
 }
 
-/**
- * Hammer the batcher from `clients` threads and demand exact equality
- * with the direct (unbatched) bundle predict for every request.
- */
-void
-checkBitIdentityUnderLoad(std::size_t pool_threads, std::size_t clients,
-                          std::size_t per_client)
+} // namespace
+
+TEST(ServeBatchingTest, BitIdenticalToDirectPredictUnderLoad)
 {
+    // Hammer the batcher from several threads and demand exact
+    // equality with the direct (unbatched) bundle predict for every
+    // request. The clients start behind a held dispatcher, so at least
+    // one batch coalesces several of their groups.
+    const std::size_t clients = 4;
+    const std::size_t per_client = 40;
     BundleRegistry registry;
-    const BundlePtr bundle = makeBundle();
+    const BundlePtr bundle = makeBundle(1, std::size_t{1} << 14);
     registry.swap(bundle);
 
     BatcherOptions opts;
     opts.maxBatch = 16;
-    opts.maxDelayUs = 500;
-    opts.threads = pool_threads;
     MicroBatcher batcher(registry, opts);
+    PredictionFuture hold = holdDispatcher(batcher, opts.maxBatch);
 
     std::vector<std::thread> threads;
     std::vector<std::string> failures(clients);
@@ -112,26 +142,13 @@ checkBitIdentityUnderLoad(std::size_t pool_threads, std::size_t clients,
         t.join();
     for (std::size_t c = 0; c < clients; ++c)
         EXPECT_EQ(failures[c], "") << "client " << c;
+    EXPECT_EQ(hold.get().rows(), opts.maxBatch);
 
     const MicroBatcher::Stats s = batcher.stats();
-    EXPECT_EQ(s.rows, clients * per_client);
-    EXPECT_EQ(s.groups, clients * per_client);
-    EXPECT_GE(s.batches, 1u);
-    EXPECT_LE(s.batches, s.groups);
-    EXPECT_GE(s.maxBatchRows, 1u);
-    EXPECT_LE(s.maxBatchRows, opts.maxBatch);
-}
-
-} // namespace
-
-TEST(ServeBatchingTest, BitIdenticalToDirectPredictSingleThreadPool)
-{
-    checkBitIdentityUnderLoad(1, 4, 40);
-}
-
-TEST(ServeBatchingTest, BitIdenticalToDirectPredictFourThreadPool)
-{
-    checkBitIdentityUnderLoad(4, 4, 40);
+    EXPECT_EQ(s.rows, clients * per_client + opts.maxBatch);
+    EXPECT_EQ(s.groups, clients * per_client + 1);
+    EXPECT_LT(s.batches, s.groups);
+    EXPECT_EQ(s.maxBatchRows, opts.maxBatch);
 }
 
 TEST(ServeBatchingTest, SubmitManyKeepsRowOrder)
@@ -185,7 +202,6 @@ TEST(ServeBatchingTest, MaxBatchOneStillAnswersExactly)
 
     BatcherOptions opts;
     opts.maxBatch = 1; // per-request baseline configuration
-    opts.maxDelayUs = 0;
     MicroBatcher batcher(registry, opts);
 
     Rng rng(7);
@@ -228,17 +244,17 @@ TEST(ServeBatchingTest, EmptyGroupThrowsBadRequest)
 TEST(ServeBatchingTest, QueueBoundRejectsWithOverloaded)
 {
     BundleRegistry registry;
-    registry.swap(makeBundle());
+    registry.swap(makeBundle(1, kSlowWidth));
 
     BatcherOptions opts;
     opts.maxQueueRows = 8;
     opts.maxBatch = 4;
-    opts.maxDelayUs = 50000; // keep the dispatcher waiting
     MicroBatcher batcher(registry, opts);
+    PredictionFuture hold = holdDispatcher(batcher, 2);
 
-    // Flood with more queued rows than the bound allows; at least one
-    // submit must be rejected typed (exact count is timing-dependent,
-    // the stats must agree with whatever happened).
+    // Flood the held queue with more rows than the bound allows: two
+    // 3-row groups fit under 8, every later one is rejected typed, and
+    // the stats agree with whatever happened.
     Rng rng(8);
     std::vector<PredictionFuture> accepted;
     std::uint64_t rejected = 0;
@@ -253,21 +269,20 @@ TEST(ServeBatchingTest, QueueBoundRejectsWithOverloaded)
         }
     }
     EXPECT_GT(rejected, 0u);
+    EXPECT_EQ(hold.get().rows(), 2u);
     for (PredictionFuture &f : accepted)
         EXPECT_EQ(f.get().rows(), 3u);
     EXPECT_EQ(batcher.stats().rejected, rejected);
-    EXPECT_EQ(batcher.stats().groups, accepted.size());
+    EXPECT_EQ(batcher.stats().groups, accepted.size() + 1);
 }
 
 TEST(ServeBatchingTest, StopDrainsQueuedGroupsThenRefuses)
 {
     BundleRegistry registry;
-    const BundlePtr bundle = makeBundle(9);
+    const BundlePtr bundle = makeBundle(1, kSlowWidth);
     registry.swap(bundle);
-
-    BatcherOptions opts;
-    opts.maxDelayUs = 20000; // queued groups linger until stop()
-    MicroBatcher batcher(registry, opts);
+    MicroBatcher batcher(registry);
+    PredictionFuture hold = holdDispatcher(batcher, 1);
 
     Rng rng(9);
     std::vector<Vector> inputs;
@@ -280,12 +295,16 @@ TEST(ServeBatchingTest, StopDrainsQueuedGroupsThenRefuses)
         futures.push_back(batcher.submitMany(std::move(xs)));
     }
     batcher.stop(); // must drain: every future resolves with a result
+    EXPECT_EQ(hold.get().rows(), 1u);
     for (std::size_t g = 0; g < futures.size(); ++g) {
         const Matrix ys = futures[g].get();
         const Vector want = bundle->predict(inputs[g]);
         for (std::size_t j = 0; j < want.size(); ++j)
             EXPECT_EQ(ys(0, j), want[j]) << "group " << g;
     }
+    // The six groups queued behind the hold ran as one batch: the
+    // dispatcher takes everything queued.
+    EXPECT_EQ(batcher.stats().batches, 2u);
     EXPECT_THROW((void)batcher.predictOne({1.0, 2.0, 3.0}), ServeError);
     batcher.stop(); // idempotent
 }
@@ -294,16 +313,13 @@ TEST(ServeBatchingTest, IncompatibleSwapFailsPendingGroupTyped)
 {
     // A group queued for a 3-input bundle must fail typed — not crash,
     // not answer garbage — when a 2-input bundle is swapped in before
-    // the dispatcher reaches it. Enqueue while stopped-ish is not
-    // possible, so use a long batch window to widen the race-free
-    // ordering: queue, swap, then wait.
+    // the dispatcher reaches it: queue it behind a held dispatcher,
+    // swap, then drain.
     BundleRegistry registry;
-    registry.swap(makeBundle());
+    registry.swap(makeBundle(1, kSlowWidth));
 
-    BatcherOptions opts;
-    opts.maxDelayUs = 100000;
-    opts.maxBatch = 64;
-    MicroBatcher batcher(registry, opts);
+    MicroBatcher batcher(registry);
+    PredictionFuture hold = holdDispatcher(batcher, 1);
 
     Matrix xs(1, 3);
     xs.setRow(0, {1.0, 2.0, 3.0});
@@ -318,13 +334,11 @@ TEST(ServeBatchingTest, IncompatibleSwapFailsPendingGroupTyped)
                                Standardizer::identity(2), {"a", "b"},
                                {"u", "v"}, "narrow")));
     batcher.stop();
-    // The queued group raced the swap: either it ran against the old
-    // bundle snapshot (valid answer) or was revalidated against the
-    // new one and failed typed. Both are correct; crashing or hanging
-    // is not.
+    EXPECT_THROW((void)f.get(), BadRequest);
+    // The held group may have snapshotted either bundle: it answers
+    // on the old one or fails typed on the new one, never crashes.
     try {
-        const Matrix ys = f.get();
-        EXPECT_EQ(ys.rows(), 1u);
+        EXPECT_EQ(hold.get().rows(), 1u);
     } catch (const BadRequest &) {
     }
 }

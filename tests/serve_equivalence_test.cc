@@ -68,12 +68,14 @@ namespace {
 
 constexpr const char *kHost = "127.0.0.1";
 
+/** `width` hidden units; a wide layer makes a deliberately slow
+ *  bundle (about 20 ns per hidden unit per row). */
 BundlePtr
-makeBundle(std::uint64_t seed = 7)
+makeBundle(std::uint64_t seed = 7, std::size_t width = 6)
 {
     Rng rng(seed);
     Mlp mlp(3,
-            {LayerSpec{6, Activation::logistic(1.0)},
+            {LayerSpec{width, Activation::logistic(1.0)},
              LayerSpec{2, Activation::identity()}},
             InitRule::SmallUniform, rng);
     return std::make_shared<const ModelBundle>(ModelBundle::fromParts(
@@ -582,12 +584,11 @@ TEST(ServeEquivalenceTest, QueueOverloadKeepsOrderingSemantics)
     // pipelined request gets an in-order outcome — a bit-exact
     // response or a typed serve.overloaded error — and a queue this
     // small must overload.
-    const BundlePtr bundle = makeBundle();
+    const BundlePtr bundle = makeBundle(7, std::size_t{1} << 18);
     ServeOptions opts;
     opts.cache.capacity = 0; // misses only: every request queues
     opts.batch.maxQueueRows = 2;
     opts.batch.maxBatch = 64;
-    opts.batch.maxDelayUs = 250000; // hold groups: keep rows pending
 
     Rng rng(55);
     std::vector<Vector> xs;
@@ -598,6 +599,16 @@ TEST(ServeEquivalenceTest, QueueOverloadKeepsOrderingSemantics)
     EventServer server(opts);
     server.deploy(bundle);
     server.start();
+
+    // Hold the dispatcher without a sleep: one request on another
+    // connection occupies it with the slow bundle's forward, and the
+    // burst is sent once the dispatcher has taken that request.
+    net::ServeClient holder =
+        net::ServeClient::connect(kHost, server.port(), 30000);
+    const Vector held{0.5, -0.5, 1.0};
+    holder.sendPredict(held);
+    while (server.batcherStats().batches == 0)
+        std::this_thread::yield();
 
     net::ServeClient client =
         net::ServeClient::connect(kHost, server.port(), 30000);
@@ -622,5 +633,10 @@ TEST(ServeEquivalenceTest, QueueOverloadKeepsOrderingSemantics)
     // cannot fit a 2-row queue: overload must have fired.
     EXPECT_EQ(exact + overloaded, 16);
     EXPECT_GE(overloaded, 1);
+    const Vector got = holder.readPrediction();
+    const Vector want = bundle->predict(held);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j)
+        EXPECT_EQ(got[j], want[j]);
     server.stop();
 }

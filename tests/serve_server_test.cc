@@ -38,6 +38,7 @@ using wcnn::serve::EventServer;
 using wcnn::serve::ModelBundle;
 using wcnn::serve::NoModelError;
 using wcnn::serve::Overloaded;
+using wcnn::serve::ServeCore;
 using wcnn::serve::ServeError;
 using wcnn::serve::ServeOptions;
 using wcnn::serve::ServeStats;
@@ -143,8 +144,23 @@ TEST(ServeServerTest, PipelinedRequestsAnswerInSendOrder)
     for (std::size_t i = 0; i < kDepth; ++i)
         expectExactlyEqual(client.readPrediction(),
                            bundle->predict(sent[i]));
+
+    // A second burst interleaves cached keys, answered inline, with
+    // fresh ones, answered by the batcher: replies keep send order.
+    std::vector<Vector> mixed;
+    for (std::size_t i = 0; i < kDepth; ++i) {
+        const Vector x = i % 2 == 0
+                             ? sent[i]
+                             : Vector{static_cast<double>(i), -0.5, 0.25};
+        mixed.push_back(x);
+        client.sendPredict(x);
+    }
+    for (std::size_t i = 0; i < kDepth; ++i)
+        expectExactlyEqual(client.readPrediction(),
+                           bundle->predict(mixed[i]));
     server.stop();
-    EXPECT_EQ(server.stats().requests, kDepth);
+    EXPECT_EQ(server.stats().requests, 2 * kDepth);
+    EXPECT_EQ(server.cacheStats().hits, kDepth / 2);
 }
 
 TEST(ServeServerTest, ConcurrentClientsAllGetExactAnswers)
@@ -350,32 +366,27 @@ TEST(ServeServerTest, InProcessPredictMatchesWirePredict)
     server.stop();
 }
 
-TEST(ServeServerTest, PredictManyMixesCacheAndBatchCorrectly)
+TEST(ServeServerTest, CoreBuiltFromTemporaryOptionsAnswers)
 {
+    // The core keeps its own copy of the options, so one built from a
+    // temporary still reads them when it answers.
+    ServeCore core({});
     const BundlePtr bundle = makeBundle(8);
-    ServeOptions opts;
-    opts.cache.capacity = 32;
-    EventServer server(opts);
-    server.deploy(bundle);
+    core.deploy(bundle);
 
-    // Warm two of four keys, then ask for all four in one call.
-    const Vector a{1.0, 1.0, 1.0}, b{2.0, 2.0, 2.0};
-    (void)server.predict(a);
-    (void)server.predict(b);
-
-    wcnn::numeric::Matrix xs(4, 3);
-    xs.setRow(0, a);
-    xs.setRow(1, {3.0, 3.0, 3.0});
-    xs.setRow(2, b);
-    xs.setRow(3, {4.0, 4.0, 4.0});
-    const wcnn::numeric::Matrix ys = server.predictMany(xs);
-    ASSERT_EQ(ys.rows(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        const Vector want = bundle->predict(xs.row(i));
-        for (std::size_t j = 0; j < want.size(); ++j)
-            EXPECT_EQ(ys(i, j), want[j]) << "row " << i;
-    }
-    EXPECT_GE(server.cacheStats().hits, 2u);
+    const Vector x{1.0, 2.0, 3.0};
+    Vector got;
+    const ServeCore::OnResult on_result =
+        [&got](std::size_t, const Vector &y) { got = y; };
+    const ServeCore::OnError on_error = [](std::size_t,
+                                           const wcnn::Error &e) {
+        ADD_FAILURE() << e.what();
+    };
+    for (ServeCore::PendingGroup &group :
+         core.answerRequestsAsync({x}, on_result, on_error, {}))
+        core.finishGroup(group, on_result, on_error);
+    expectExactlyEqual(got, bundle->predict(x));
+    core.stopBatcher();
 }
 
 TEST(ServeServerTest, StopIsIdempotentAndDrains)

@@ -551,10 +551,6 @@ serveOptionsFromArgs(const Args &args)
         args.num("idle-ms", opts.idleTimeoutMs));
     opts.batch.maxBatch = static_cast<std::size_t>(args.num(
         "max-batch", static_cast<double>(opts.batch.maxBatch)));
-    opts.batch.maxDelayUs = static_cast<std::int64_t>(args.num(
-        "max-delay-us", static_cast<double>(opts.batch.maxDelayUs)));
-    opts.batch.threads = static_cast<std::size_t>(args.num(
-        "threads", static_cast<double>(opts.batch.threads)));
     opts.cache.capacity = static_cast<std::size_t>(args.num(
         "cache", static_cast<double>(opts.cache.capacity)));
     return opts;
@@ -595,9 +591,8 @@ cmdServe(const Args &args)
     if (args.has("help")) {
         std::puts(
             "wcnn serve --model MODEL.bundle [--port P] [--host H]\n"
-            "           [--max-batch N] [--max-delay-us U] "
-            "[--threads N]\n"
-            "           [--cache N] [--max-conn N] [--idle-ms MS]\n"
+            "           [--max-batch N] [--cache N] [--max-conn N] "
+            "[--idle-ms MS]\n"
             "           [--duration SECONDS]\n"
             "           [--lifecycle] [--journal FILE] "
             "[lifecycle knobs]\n"
@@ -606,6 +601,9 @@ cmdServe(const Args &args)
             "lines on one port)\n"
             "from an epoll reactor with one event loop per core "
             "(at most 8).\n"
+            "Cache misses are batched with whatever else is queued, "
+            "up to --max-batch\n"
+            "rows; the batcher never waits for a batch to fill.\n"
             "--lifecycle attaches the model-lifecycle controller to "
             "the observation\n"
             "stream: drift detection, shadow retraining and gated "
