@@ -92,13 +92,13 @@ main(int argc, char **argv)
     // Chaos drills: `--failpoints "site=nth:2"` or WCNN_FAILPOINTS.
     wcnn::core::failpoint::installFromArgs(argc, argv);
     using namespace wcnn;
-    const std::size_t threads = bench::parseThreads(argc, argv, 1);
+    const std::size_t threads = bench::parseThreads(argc, argv);
     bench::printHeader(
         "Figure 4: parallel slopes — manufacturing response time over "
         "(default queue, web queue) at (560, x, 16, y)");
 
     // Model-predicted surface (what the paper plots).
-    const model::StudyResult study = bench::canonicalStudy();
+    const model::StudyResult study = bench::canonicalStudy(false, threads);
     const auto grid = [&] {
         model::SurfaceRequest req = bench::paperSlice(0);
         req.threads = threads;

@@ -21,12 +21,12 @@ main(int argc, char **argv)
     // Chaos drills: `--failpoints "site=nth:2"` or WCNN_FAILPOINTS.
     wcnn::core::failpoint::installFromArgs(argc, argv);
     using namespace wcnn;
-    const std::size_t threads = bench::parseThreads(argc, argv, 1);
+    const std::size_t threads = bench::parseThreads(argc, argv);
     bench::printHeader(
         "Figure 8: hills — effective throughput over (default queue, "
         "web queue) at (560, x, 16, y)");
 
-    const model::StudyResult study = bench::canonicalStudy();
+    const model::StudyResult study = bench::canonicalStudy(false, threads);
     const auto grid = [&] {
         model::SurfaceRequest req = bench::paperSlice(4);
         req.threads = threads;

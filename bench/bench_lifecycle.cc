@@ -14,12 +14,18 @@
  *     misaligned with the tumbling-window boundary.
  *
  *  2. "shadow_overhead" — in-process predict throughput through the
- *     ServeCore with a lifecycle controller held mid-shadow (every
- *     observe runs the candidate too) versus the same traffic with no
- *     sink attached. Observe traffic rides at 1/8th of predicts, the
- *     serving mix the lifecycle is designed for. CI trips when the
- *     overhead exceeds 10% (the "shadowing is invisible" claim has a
- *     throughput side, not just a byte-equality side).
+ *     ServeCore with a lifecycle controller held mid-shadow versus the
+ *     same traffic with no sink attached. Observe traffic rides at
+ *     1/8th of predicts, the serving mix the lifecycle is designed
+ *     for. The shadow window is longer than the run, so the gate (the
+ *     only place the candidate predicts) never fires in the timed
+ *     loop: what this measures is the controller's record intake,
+ *     all under its mutex. record(x, p, o) builds a record,
+ *     record(rec) copies it to number it, and shadowLocked copies it
+ *     into the retrain window and again into the shadow buffer. CI
+ *     trips when the overhead exceeds 10% (the "shadowing is
+ *     invisible" claim has a throughput side, not just a
+ *     byte-equality side).
  */
 
 #include <cstdio>
@@ -99,7 +105,6 @@ lifecycleOptions()
     opts.retrain.seed = 99;
     opts.retrainWindow = 16;
     opts.shadowWindow = 8;
-    opts.threads = 1;
     return opts;
 }
 
@@ -204,8 +209,8 @@ benchShadowOverhead(
 
     // Shadowing: drive the controller into Shadowing first (drift +
     // retrain happen before the clock starts), with a shadow window
-    // far longer than the bench so the candidate is evaluated on
-    // every observe of the timed run.
+    // far longer than the bench so the gate never closes: every
+    // observe of the timed run takes the shadowing intake path.
     double shadow_best = 0.0;
     {
         serve::ServeCore core(core_opts);

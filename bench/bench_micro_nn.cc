@@ -301,7 +301,7 @@ main(int argc, char **argv)
     auto recorder = core::telemetry::Recorder::fromArgs(argc, argv);
     // Chaos drills: `--failpoints "site=nth:2"` or WCNN_FAILPOINTS.
     core::failpoint::installFromArgs(argc, argv);
-    std::size_t threads = bench::parseThreads(argc, argv, 0);
+    std::size_t threads = bench::parseThreads(argc, argv);
     if (threads == 0)
         threads = core::hardwareThreads();
     benchmark::Initialize(&argc, argv);

@@ -16,7 +16,6 @@
 #include "common.hh"
 #include "core/parallel.hh"
 #include "core/failpoint.hh"
-#include "core/failpoint.hh"
 #include "core/telemetry.hh"
 #include "model/cross_validation.hh"
 #include "parallel_report.hh"
@@ -29,14 +28,14 @@ main(int argc, char **argv)
     auto recorder = telemetry::Recorder::fromArgs(argc, argv);
     // Chaos drills: `--failpoints "site=nth:2"` or WCNN_FAILPOINTS.
     wcnn::core::failpoint::installFromArgs(argc, argv);
-    std::size_t threads = bench::parseThreads(argc, argv, 0);
+    std::size_t threads = bench::parseThreads(argc, argv);
     if (threads == 0)
         threads = core::hardwareThreads();
 
     bench::printHeader("Table 2: average prediction error for the "
                        "validation set");
 
-    const model::StudyResult study = bench::canonicalStudy(true);
+    const model::StudyResult study = bench::canonicalStudy(true, threads);
 
     std::printf("tuned hyperparameters: %zu hidden units, stop "
                 "threshold %.3f (protocol: tuned once, reused for all "

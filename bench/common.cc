@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <fstream>
-#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "data/csv.hh"
 #include "sim/sample_space.hh"
@@ -34,41 +34,21 @@ canonicalOptions()
 }
 
 model::StudyResult
-canonicalStudy(bool tune)
+canonicalStudy(bool tune, std::size_t threads)
 {
     model::StudyOptions opts = canonicalOptions();
     opts.tune = tune;
+    opts.threads = threads;
 
     // Reuse the cached sample collection when present: the per-config
     // simulation dominates the study's cost and is seed-deterministic.
     std::ifstream probe(cachePath);
     if (probe.good()) {
         probe.close();
-        const data::Dataset ds = data::loadCsv(cachePath);
+        data::Dataset ds = data::loadCsv(cachePath);
         std::printf("[common] loaded %zu cached samples from %s\n",
                     ds.size(), cachePath);
-
-        model::StudyResult result;
-        result.dataset = ds;
-        result.tunedNn = opts.nn;
-        if (opts.tune) {
-            model::GridSearchOptions tuning = opts.tuning;
-            tuning.seed = opts.seed + 1;
-            result.tuning = model::gridSearch(opts.nn, ds, tuning);
-            result.tunedNn.hiddenUnits = {
-                result.tuning.best().hiddenUnits};
-            result.tunedNn.train.targetLoss =
-                result.tuning.best().targetLoss;
-        }
-        model::CvOptions cv = opts.cv;
-        cv.seed = opts.seed + 2;
-        const model::NnModelOptions tuned = result.tunedNn;
-        result.cv = model::crossValidate(
-            [&tuned]() { return std::make_unique<model::NnModel>(tuned); },
-            ds, cv);
-        result.finalModel = model::NnModel(result.tunedNn);
-        result.finalModel.fit(ds);
-        return result;
+        return model::fitStudy(std::move(ds), opts);
     }
 
     std::printf("[common] collecting %zu configurations x %zu "

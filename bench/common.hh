@@ -32,12 +32,17 @@ namespace bench {
 model::StudyOptions canonicalOptions();
 
 /**
- * Run (or load from cache) the canonical study.
+ * Run (or load from cache) the canonical study. A cached dataset skips
+ * the collection; the model stages are model::fitStudy either way.
  *
- * @param tune Re-run the hyperparameter tuning protocol instead of
- *             using the canonical fixed values.
+ * @param tune    Re-run the hyperparameter tuning protocol instead of
+ *                using the canonical fixed values.
+ * @param threads Worker threads of every stage; 0 selects the
+ *                hardware count. Results are bit-identical at any
+ *                count.
  */
-model::StudyResult canonicalStudy(bool tune = false);
+model::StudyResult canonicalStudy(bool tune = false,
+                                  std::size_t threads = 0);
 
 /**
  * The paper's analysis slice "(560, x, 16, y)": injection rate 560 and

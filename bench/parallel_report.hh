@@ -24,19 +24,19 @@ namespace wcnn {
 namespace bench {
 
 /**
- * Parse and strip a `--threads N` (or `--threads=N`) argument.
+ * Parse and strip a `--threads N` (or `--threads=N`) argument; 0 (the
+ * hardware count) when it is absent.
  *
  * Stripping matters for the google-benchmark binaries, whose own
  * Initialize() rejects flags it does not know.
  *
- * @param argc     Argument count; decremented when the flag is found.
- * @param argv     Argument vector; compacted in place.
- * @param fallback Value when the flag is absent.
+ * @param argc Argument count; decremented when the flag is found.
+ * @param argv Argument vector; compacted in place.
  */
 inline std::size_t
-parseThreads(int &argc, char **argv, std::size_t fallback = 1)
+parseThreads(int &argc, char **argv)
 {
-    std::size_t threads = fallback;
+    std::size_t threads = 0;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

@@ -1,37 +1,18 @@
 #include "parallel.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
-#include "core/contracts.hh"
 #include "core/telemetry.hh"
 
 namespace wcnn {
 namespace core {
-
-namespace {
-
-/**
- * Inline execution with the pool's failure contract: every task runs,
- * and the lowest-index failure (the first one, in serial order) is
- * rethrown after the batch drains.
- */
-void
-runSerial(std::size_t n, const ThreadPool::Body &body)
-{
-    std::exception_ptr failure;
-    for (std::size_t i = 0; i < n; ++i) {
-        try {
-            body(i);
-        } catch (...) {
-            if (!failure)
-                failure = std::current_exception();
-        }
-    }
-    if (failure)
-        std::rethrow_exception(failure);
-}
-
-} // namespace
 
 std::size_t
 hardwareThreads()
@@ -40,138 +21,76 @@ hardwareThreads()
     return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : nThreads(threads == 0 ? hardwareThreads() : threads)
-{
-    // The calling thread is runner #0; spawn the rest.
-    workers.reserve(nThreads - 1);
-    for (std::size_t t = 1; t < nThreads; ++t)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        shuttingDown = true;
-    }
-    workReady.notify_all();
-    for (auto &worker : workers)
-        worker.join();
-}
-
-void
-ThreadPool::forEach(std::size_t n, const Body &body)
-{
-    if (n == 0)
-        return;
-    WCNN_SPAN("pool.batch", n, nThreads);
-    if (nThreads <= 1 || n == 1) {
-        runSerial(n, body);
-        return;
-    }
-
-    Batch batch;
-    batch.n = n;
-    batch.body = &body;
-    batch.pendingTasks = n;
-    if (WCNN_TELEMETRY_ENABLED())
-        batch.submitNs = telemetry::nowNs();
-
-    std::unique_lock<std::mutex> lock(mutex);
-    WCNN_ENSURE(currentBatch == nullptr,
-                "ThreadPool::forEach is not reentrant");
-    currentBatch = &batch;
-    ++batchGeneration;
-    workReady.notify_all();
-
-    // The calling thread is a runner too.
-    drainBatch(batch);
-    batchDone.wait(lock, [&] { return batch.pendingTasks == 0; });
-    currentBatch = nullptr;
-    lock.unlock();
-
-    if (batch.failure)
-        std::rethrow_exception(batch.failure);
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::uint64_t seen_generation = 0;
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-        std::int64_t idle_start = 0;
-        if (WCNN_TELEMETRY_ENABLED())
-            idle_start = telemetry::nowNs();
-        workReady.wait(lock, [&] {
-            return shuttingDown || batchGeneration != seen_generation;
-        });
-        if (WCNN_TELEMETRY_ENABLED() && idle_start != 0) {
-            WCNN_HISTOGRAM_RECORD(
-                "pool.idle_ns",
-                static_cast<std::uint64_t>(std::max<std::int64_t>(
-                    0, telemetry::nowNs() - idle_start)));
-        }
-        if (shuttingDown)
-            return;
-        seen_generation = batchGeneration;
-        // The batch may already be fully claimed (or even cleared) by
-        // the time this worker wakes; drainBatch handles an empty one.
-        if (currentBatch != nullptr)
-            drainBatch(*currentBatch);
-    }
-}
-
-void
-ThreadPool::drainBatch(Batch &batch)
-{
-    // Caller holds `mutex`; it is released around each task body.
-    std::size_t executed = 0;
-    while (batch.nextIndex < batch.n) {
-        const std::size_t index = batch.nextIndex++;
-        mutex.unlock();
-        if (WCNN_TELEMETRY_ENABLED() && batch.submitNs != 0) {
-            WCNN_HISTOGRAM_RECORD(
-                "pool.queue_wait_ns",
-                static_cast<std::uint64_t>(std::max<std::int64_t>(
-                    0, telemetry::nowNs() - batch.submitNs)));
-        }
-        WCNN_COUNTER_ADD("pool.tasks", 1);
-        ++executed;
-        std::exception_ptr error;
-        try {
-            (*batch.body)(index);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        mutex.lock();
-        if (error && (!batch.failure || index < batch.failIndex)) {
-            batch.failure = error;
-            batch.failIndex = index;
-        }
-        if (--batch.pendingTasks == 0)
-            batchDone.notify_all();
-    }
-    // Per-runner task share of this batch (load-imbalance signal).
-    if (executed > 0)
-        WCNN_EVENT("pool.drain", executed);
-}
-
 void
 parallelFor(std::size_t n, std::size_t threads,
-            const ThreadPool::Body &body)
+            const std::function<void(std::size_t)> &body)
 {
     if (n == 0)
         return;
-    if (threads == 0)
-        threads = hardwareThreads();
-    if (threads <= 1 || n == 1) {
-        runSerial(n, body);
-        return;
+    // One runner (threads <= 1 or n == 1) is the serial path: the
+    // caller drains every index inline and no thread is spawned.
+    const std::size_t runners =
+        std::min(threads == 0 ? hardwareThreads() : threads, n);
+    WCNN_SPAN("pool.batch", n, runners);
+    // Fork timestamp feeding the pool.queue_wait_ns histogram; 0 when
+    // telemetry is off.
+    const std::int64_t fork_ns =
+        WCNN_TELEMETRY_ENABLED() ? telemetry::nowNs() : 0;
+
+    std::atomic<std::size_t> next{0};
+    std::mutex failure_mutex;
+    std::size_t fail_index = n;
+    std::exception_ptr failure;
+
+    // One runner: claim indices from the shared counter until it
+    // passes n, keeping the lowest-index failure.
+    const auto drain = [&] {
+        std::size_t executed = 0;
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                break;
+            ++executed;
+            try {
+                if (fork_ns != 0) {
+                    WCNN_HISTOGRAM_RECORD(
+                        "pool.queue_wait_ns",
+                        static_cast<std::uint64_t>(std::max<std::int64_t>(
+                            0, telemetry::nowNs() - fork_ns)));
+                }
+                WCNN_COUNTER_ADD("pool.tasks", 1);
+                body(i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(failure_mutex);
+                if (i < fail_index) {
+                    fail_index = i;
+                    failure = std::current_exception();
+                }
+            }
+        }
+        // Per-runner task share of this call (load-imbalance signal).
+        if (executed > 0)
+            WCNN_EVENT("pool.drain", executed);
+    };
+
+    {
+        // jthreads join when this scope ends, on every path.
+        std::vector<std::jthread> workers;
+        workers.reserve(runners - 1);
+        for (std::size_t t = 1; t < runners; ++t) {
+            try {
+                workers.emplace_back(drain);
+            } catch (const std::system_error &) {
+                // Out of OS threads: the runners already started, the
+                // caller among them, still drain every index.
+                break;
+            }
+        }
+        drain();
     }
-    ThreadPool pool(std::min(threads, n));
-    pool.forEach(n, body);
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 } // namespace core

@@ -4,10 +4,11 @@
  *
  * The paper's methodology is repeated training: 5-fold cross
  * validation, node-count/stop-threshold trials, and dense 2-D surface
- * sweeps — all embarrassingly parallel. This module generalizes the
- * worker-pool idea of `sim::ThreadPool` (which models the app server's
- * execute queues in *simulated* time) into a real OS-thread pool that
- * the model layer routes those hot paths through.
+ * sweeps — all embarrassingly parallel. This module provides the one
+ * primitive the model and simulation layers route those hot paths
+ * through: a fork-join parallelFor over real OS threads (unrelated to
+ * `sim::ThreadPool`, which models the app server's execute queues in
+ * *simulated* time).
  *
  * Determinism contract: a task is an index in [0, n) and every task
  * writes only to its own index-addressed slot, so results are
@@ -17,7 +18,7 @@
  * clock, thread id, or a shared generator (lint rule R1).
  *
  * Failure contract: exceptions (including wcnn::ContractViolation)
- * propagate out of the pool first-failure, where "first" means the
+ * propagate out of parallelFor first-failure, where "first" means the
  * lowest task index — every run of every thread count rethrows the
  * same exception. All tasks run to completion before the rethrow so
  * the choice cannot depend on scheduling.
@@ -26,14 +27,8 @@
 #ifndef WCNN_CORE_PARALLEL_HH
 #define WCNN_CORE_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace wcnn {
 namespace core {
@@ -42,94 +37,23 @@ namespace core {
 std::size_t hardwareThreads();
 
 /**
- * Fixed-size pool of OS worker threads executing index-addressed task
- * batches.
+ * Run body(i) for every i in [0, n) and block until all tasks finish.
  *
- * A pool of `threads` runners executes forEach() batches: the calling
- * thread is one runner and `threads - 1` workers are spawned, so a
- * 1-thread pool runs everything inline on the caller (exactly the
- * serial path, no synchronization). The pool is reusable across
- * batches, including after a batch that threw.
- */
-class ThreadPool
-{
-  public:
-    /** Task body: receives the task index. */
-    using Body = std::function<void(std::size_t)>;
-
-    /**
-     * @param threads Runner count; 0 selects hardwareThreads().
-     */
-    explicit ThreadPool(std::size_t threads = 0);
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    ~ThreadPool();
-
-    /** Runner count (workers + the calling thread). */
-    std::size_t threads() const { return nThreads; }
-
-    /**
-     * Execute body(i) for every i in [0, n) and block until all tasks
-     * finish. Tasks are claimed dynamically, so execution order is
-     * unspecified; callers must write results only to index-addressed
-     * slots. If any tasks throw, the exception of the lowest-index
-     * failing task is rethrown after the batch drains.
-     *
-     * @param n    Task count.
-     * @param body Task body; invoked concurrently, must be thread-safe.
-     */
-    void forEach(std::size_t n, const Body &body);
-
-  private:
-    /** One forEach() batch shared between the runners. */
-    struct Batch
-    {
-        std::size_t n = 0;
-        const Body *body = nullptr;
-        std::size_t nextIndex = 0;
-        std::size_t pendingTasks = 0;
-        /** Lowest failing index and its exception. */
-        std::size_t failIndex = 0;
-        std::exception_ptr failure;
-        /**
-         * Submission timestamp feeding the pool.queue_wait_ns
-         * histogram; 0 when telemetry is off. Written once before the
-         * workers are woken, read-only afterwards.
-         */
-        std::int64_t submitNs = 0;
-    };
-
-    /** Worker main loop: wait for a batch, drain it, repeat. */
-    void workerLoop();
-
-    /** Claim and run tasks of the current batch until it is empty. */
-    void drainBatch(Batch &batch);
-
-    std::size_t nThreads;
-    std::vector<std::thread> workers;
-
-    std::mutex mutex;
-    std::condition_variable workReady;
-    std::condition_variable batchDone;
-    Batch *currentBatch = nullptr;
-    std::uint64_t batchGeneration = 0;
-    bool shuttingDown = false;
-};
-
-/**
- * One-shot convenience: run body(i) for i in [0, n) over `threads`
- * runners (0 selects hardwareThreads()). `threads <= 1` or `n <= 1`
- * runs inline with no pool at all. Same determinism and first-failure
- * contracts as ThreadPool::forEach.
+ * Fork-join: the calling thread and `min(threads, n) - 1` spawned
+ * threads claim indices from one shared counter, and the spawned
+ * threads are joined before the call returns. `threads <= 1` or
+ * `n <= 1` runs inline with no thread at all. Execution order is
+ * unspecified, so callers must write results only to index-addressed
+ * slots. If any tasks throw, the exception of the lowest-index failing
+ * task is rethrown after every task has run.
  *
  * @param n       Task count.
- * @param threads Runner count; 0 selects hardwareThreads().
- * @param body    Task body.
+ * @param threads Runner count, the caller included; 0 selects
+ *                hardwareThreads().
+ * @param body    Task body; invoked concurrently, must be thread-safe.
  */
 void parallelFor(std::size_t n, std::size_t threads,
-                 const ThreadPool::Body &body);
+                 const std::function<void(std::size_t)> &body);
 
 } // namespace core
 } // namespace wcnn

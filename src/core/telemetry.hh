@@ -4,7 +4,7 @@
  *
  * The pipeline is a stack of opaque stages — back-prop to a loose stop
  * threshold, k-fold cross validation, surrogate surface sweeps, a
- * thread pool underneath — and "why did this trial stall / converge /
+ * fork-join underneath — and "why did this trial stall / converge /
  * get pruned" must be answerable without printf archaeology. This
  * module provides the three usual observability primitives:
  *

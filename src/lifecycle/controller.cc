@@ -6,7 +6,6 @@
 
 #include "core/contracts.hh"
 #include "core/failpoint.hh"
-#include "core/parallel.hh"
 #include "core/telemetry.hh"
 #include "lifecycle/error.hh"
 
@@ -241,24 +240,15 @@ LifecycleController::gateLocked(std::uint64_t seq)
 
         // The candidate predicts every shadowed configuration; the
         // incumbent's predictions were captured in the records
-        // themselves. Rows are independent, each error lands in its
-        // preallocated slot, and the reduction below runs in record
-        // order — bit-identical at every thread count.
+        // themselves. Both sums run in record order, so a replay of
+        // the same records lands on the same bits.
         const std::size_t n = shadowBuffer.size();
-        std::vector<double> candidate_errors(n, 0.0);
-        const serve::BundlePtr shadow = candidate;
-        core::parallelFor(n, opts.threads, [&](std::size_t i) {
-            candidate_errors[i] = relativeError(
-                shadow->predict(shadowBuffer[i].x),
-                shadowBuffer[i].observed);
-        });
-
         double incumbent_sum = 0.0;
         double candidate_sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            incumbent_sum += relativeError(shadowBuffer[i].predicted,
-                                           shadowBuffer[i].observed);
-            candidate_sum += candidate_errors[i];
+        for (const ObservationRecord &rec : shadowBuffer) {
+            incumbent_sum += relativeError(rec.predicted, rec.observed);
+            candidate_sum +=
+                relativeError(candidate->predict(rec.x), rec.observed);
         }
         const double incumbent_error =
             incumbent_sum / static_cast<double>(n);

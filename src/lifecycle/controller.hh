@@ -31,8 +31,8 @@
  * record stream and the configured seed — record counts instead of
  * timers, seed streams instead of entropy, no wall-clock reads in this
  * directory. Replaying a journal therefore reproduces decisions,
- * candidate weights, and the decision digest bit-identically at any
- * thread count, which tests/golden_lifecycle_test.cc pins.
+ * candidate weights, and the decision digest bit-identically, which
+ * tests/golden_lifecycle_test.cc pins.
  *
  * Failpoint sites: lifecycle.observe (record intake), lifecycle.detect
  * (drift evaluation), lifecycle.retrain (candidate training),
@@ -75,13 +75,6 @@ struct LifecycleOptions
 
     /** Displaced incumbents kept for rollback (>= 1). */
     std::size_t historyLimit = 4;
-
-    /**
-     * Worker threads of the shadow-window evaluation (core::
-     * parallelFor); results are bit-identical at every count. 0
-     * selects the hardware count.
-     */
-    std::size_t threads = 1;
 };
 
 /** The controller's current stage. */

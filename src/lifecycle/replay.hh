@@ -6,10 +6,12 @@
  * over a private registry. Because the controller is a pure function
  * of (record stream, seed) — lint R10 keeps the wall clock out — the
  * replay reproduces a live run's drift points, candidate weights, and
- * promote/reject verdicts bit-identically, at any thread count. That
- * makes the journal the unit of post-mortem: re-run it with different
- * thresholds, inspect every decision, pin the whole loop under a
- * golden digest (tests/golden_lifecycle_test.cc, CI lifecycle-smoke).
+ * promote/reject verdicts bit-identically. The loop has no thread
+ * count: the shadow gate scores its window in one loop, in record
+ * order. That makes the journal the unit of post-mortem: re-run it
+ * with different thresholds, inspect every decision, pin the whole
+ * loop under a golden digest (tests/golden_lifecycle_test.cc, CI
+ * lifecycle-smoke).
  */
 
 #ifndef WCNN_LIFECYCLE_REPLAY_HH
@@ -56,8 +58,7 @@ struct ReplayResult
  * @param journal Record stream (readJournal()).
  * @param initial Incumbent bundle deployed before the first record;
  *                must be loaded and match the journal's dimensions.
- * @param options Loop configuration (threshold, windows, seed,
- *                threads).
+ * @param options Loop configuration (threshold, windows, seed).
  * @return The full decision log and digests.
  * @throws JournalError on a journal/bundle dimension mismatch;
  *         LifecycleError from armed lifecycle.* failpoints.

@@ -85,7 +85,7 @@ crossValidate(const ModelFactory &factory, const data::Dataset &ds,
 
     // Each trial writes only its own index-addressed slot. In Strict
     // mode exceptions (a diverging trainer, a contract violation)
-    // propagate first-failure out of the pool; in Quarantine mode a
+    // propagate first-failure out of parallelFor; in Quarantine mode a
     // recoverable wcnn::Error is recorded on the trial and the other
     // folds keep running (bugs still propagate either way).
     core::parallelFor(options.folds, options.threads, [&](std::size_t f) {

@@ -102,7 +102,7 @@ struct CvOptions
      * never from a generator shared across trials. The factory must be
      * safe to invoke concurrently.
      */
-    std::size_t threads = 1;
+    std::size_t threads = 0;
 
     /**
      * Failure policy for individual folds. Quarantine yields partial

@@ -78,7 +78,7 @@ struct GridSearchOptions
      * candidate is a pure function of it, so scores, entry order, and
      * the best() tie-break are bit-identical at every thread count.
      */
-    std::size_t threads = 1;
+    std::size_t threads = 0;
 
     /**
      * Failure policy for individual candidates. Quarantine scores the

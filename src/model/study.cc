@@ -1,6 +1,8 @@
 #include "study.hh"
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "core/telemetry.hh"
 #include "numeric/rng.hh"
@@ -11,8 +13,6 @@ namespace model {
 StudyResult
 runStudy(const StudyOptions &options)
 {
-    StudyResult result;
-
     WCNN_SPAN("study", options.designSamples);
 
     // 1. Experiment design + sample collection: a Latin hypercube over
@@ -68,16 +68,28 @@ runStudy(const StudyOptions &options)
     collect.threads = options.threads;
     collect.quarantine = !options.strict;
     collect.maxAttempts = options.strict ? 1 : options.collectMaxAttempts;
+    sim::CollectReport collection;
+    data::Dataset dataset;
     if (options.source == StudyOptions::Source::Simulator) {
-        result.dataset = sim::collectSimulated(
-            configs, options.params, options.seed, options.replicates,
-            collect, &result.collection);
+        dataset = sim::collectSimulated(configs, options.params,
+                                        options.seed, options.replicates,
+                                        collect, &collection);
     } else {
-        result.dataset = sim::collectAnalytic(configs, options.params,
-                                              options.threads);
-        result.collection.configs.assign(configs.size(),
-                                         sim::ConfigStatus{});
+        dataset = sim::collectAnalytic(configs, options.params,
+                                       options.threads);
+        collection.configs.assign(configs.size(), sim::ConfigStatus{});
     }
+
+    StudyResult result = fitStudy(std::move(dataset), options);
+    result.collection = std::move(collection);
+    return result;
+}
+
+StudyResult
+fitStudy(data::Dataset dataset, const StudyOptions &options)
+{
+    StudyResult result;
+    result.dataset = std::move(dataset);
 
     // 2. Hyperparameter tuning (automated version of the paper's
     // hand-tuned first trial).

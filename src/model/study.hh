@@ -90,12 +90,12 @@ struct StudyOptions
 
     /**
      * Worker threads for the parallel stages (sample collection,
-     * tuning, cross validation); 0 selects the hardware count, 1 runs
-     * serially. Every stage is bit-identical at every thread count
-     * (see core/parallel.hh), so this only changes wall time.
-     * Overrides the threads fields of `tuning` and `cv`.
+     * tuning, cross validation); 0 (default) selects the hardware
+     * count, 1 runs serially. Every stage is bit-identical at every
+     * thread count (see core/parallel.hh), so this only changes wall
+     * time. Overrides the threads fields of `tuning` and `cv`.
      */
-    std::size_t threads = 1;
+    std::size_t threads = 0;
 
     /**
      * Failure policy for the whole pipeline. True (default) preserves
@@ -139,11 +139,24 @@ struct StudyResult
 };
 
 /**
- * Run the full pipeline.
+ * Run the full pipeline: collect the design's samples, then
+ * fitStudy() on them.
  *
  * @param options Study configuration.
  */
 StudyResult runStudy(const StudyOptions &options = {});
+
+/**
+ * The model stages of runStudy() on an already collected dataset:
+ * tune (when options.tune), cross validate and fit the final
+ * surrogate, under the `study.tune`, `study.cv` and `study.final_fit`
+ * spans. The result's `collection` is left empty.
+ *
+ * @param dataset Sample collection, as runStudy() would collect it.
+ * @param options Study configuration; the collection fields are
+ *                ignored.
+ */
+StudyResult fitStudy(data::Dataset dataset, const StudyOptions &options);
 
 } // namespace model
 } // namespace wcnn

@@ -56,7 +56,7 @@ struct SurfaceRequest
      * and written to its own rows of z, so the grid is bit-identical
      * at every thread count.
      */
-    std::size_t threads = 1;
+    std::size_t threads = 0;
 };
 
 /** Sampled surface. */

@@ -113,7 +113,7 @@ using SampleFn = std::function<PerfSample(const ThreeTierConfig &)>;
 struct CollectOptions
 {
     /** Worker threads (core::parallelFor); 0 = hardware count. */
-    std::size_t threads = 1;
+    std::size_t threads = 0;
 
     /**
      * Total attempts per sampler run. A transient wcnn::SimFault is
@@ -179,16 +179,16 @@ struct CollectReport
  *
  * @param configs Configurations to evaluate.
  * @param fn      Sampler (simulateThreeTier, analyticThreeTier, ...).
- *                With threads > 1 it is invoked concurrently and must
- *                be thread-safe and a pure function of its
+ *                Unless threads is 1 it is invoked concurrently, so it
+ *                must be thread-safe and a pure function of its
  *                configuration (no shared counters).
- * @param threads Worker threads (core::parallelFor); 0 selects the
- *                hardware count, 1 runs serially. Rows keep the
- *                configs order at every thread count.
+ * @param threads Worker threads (core::parallelFor); 0 (default)
+ *                selects the hardware count, 1 runs serially. Rows
+ *                keep the configs order at every thread count.
  */
 data::Dataset collectDataset(const std::vector<ThreeTierConfig> &configs,
                              const SampleFn &fn,
-                             std::size_t threads = 1);
+                             std::size_t threads = 0);
 
 /**
  * As above with an explicit collection policy: transient
@@ -231,7 +231,7 @@ data::Dataset collectSimulated(std::vector<ThreeTierConfig> configs,
                                const WorkloadParams &params,
                                std::uint64_t seed_base,
                                std::size_t replicates = 3,
-                               std::size_t threads = 1);
+                               std::size_t threads = 0);
 
 /**
  * As above with an explicit collection policy. Each faulting
@@ -266,7 +266,7 @@ data::Dataset collectSimulated(std::vector<ThreeTierConfig> configs,
  */
 data::Dataset collectAnalytic(const std::vector<ThreeTierConfig> &configs,
                               const WorkloadParams &params,
-                              std::size_t threads = 1);
+                              std::size_t threads = 0);
 
 } // namespace sim
 } // namespace wcnn

@@ -281,6 +281,7 @@ TEST_F(ChaosPipelineTest, QuarantineBookkeepingMatchesInjectedSchedule)
     wcnn::model::CvOptions cv;
     cv.folds = 4;
     cv.keepPredictions = false;
+    cv.threads = 1;
     cv.onFailure = wcnn::model::OnFailure::Quarantine;
     auto cv_result = wcnn::model::crossValidate(
         [] { return std::make_unique<wcnn::model::LinearModel>(); }, ds,
@@ -301,6 +302,7 @@ TEST_F(ChaosPipelineTest, QuarantineBookkeepingMatchesInjectedSchedule)
     wcnn::model::GridSearchOptions grid;
     grid.hiddenUnits = {2, 3};
     grid.targetLosses = {0.05};
+    grid.threads = 1;
     grid.onFailure = wcnn::model::OnFailure::Quarantine;
     const auto tuned = wcnn::model::gridSearch(nn, ds, grid);
     EXPECT_EQ(fp::fires("grid.candidate"), 1u);

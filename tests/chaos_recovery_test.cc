@@ -207,9 +207,11 @@ TEST_F(RecoveryTest, ExhaustedRetriesDropTheConfigUnderQuarantine)
     REQUIRE_LIBRARY_FAILPOINTS();
     const auto configs = smallDesign(5);
 
-    // Hits 2..4 fire: config 1's three attempts all fault.
+    // Hits 2..4 fire: config 1's three attempts all fault. Which
+    // config takes a hit depends on the serial order.
     fp::armFromSpec("collect.sample=nth:2:3");
     CollectOptions options;
+    options.threads = 1;
     options.maxAttempts = 3;
     options.quarantine = true;
     CollectReport report;
@@ -275,6 +277,7 @@ TEST_F(RecoveryTest, QuarantinedFoldKeepsPartialResults)
     const Dataset ds = noisyLinearDataset(25, 1);
     CvOptions opts;
     opts.folds = 5;
+    opts.threads = 1; // the 2nd hit is fold 1 only in serial order
     opts.onFailure = OnFailure::Quarantine;
 
     fp::armFromSpec("cv.fold=nth:2");
@@ -329,6 +332,7 @@ TEST_F(RecoveryTest, QuarantinedCandidateNeverWins)
     GridSearchOptions opts;
     opts.hiddenUnits = {2, 3};
     opts.targetLosses = {0.05};
+    opts.threads = 1; // the 1st hit is candidate 0 only in serial order
     opts.onFailure = OnFailure::Quarantine;
     wcnn::model::NnModelOptions nn;
     nn.train.maxEpochs = 40;

@@ -3,9 +3,9 @@
  * Golden pinning of the lifecycle replay: the checked-in drift
  * journal (tests/data/lifecycle_drift.journal), replayed against the
  * checked-in incumbent bundle, must reproduce the pinned decision
- * digest and final-bundle digest at 1, 2 and 8 shadow-evaluation
- * threads. This is the acceptance gate of DESIGN.md §5.9: decisions
- * and candidate weights are functions of (record stream, seed) alone.
+ * digest and final-bundle digest. This is the acceptance gate of
+ * DESIGN.md §5.9: decisions and candidate weights are functions of
+ * (record stream, seed) alone.
  *
  * The options below are deliberately restricted to what
  * `wcnn lifecycle replay` can express on its command line, so CI's
@@ -56,7 +56,7 @@ const std::string kDigestPath = kDataDir + "/lifecycle_drift.digest";
  * else stays at library defaults so the CLI run matches.
  */
 lifecycle::LifecycleOptions
-goldenOptions(std::size_t threads)
+goldenOptions()
 {
     lifecycle::LifecycleOptions opts;
     opts.drift.window = 8;
@@ -66,7 +66,6 @@ goldenOptions(std::size_t threads)
     opts.retrain.model.train.maxEpochs = 400;
     opts.retrainWindow = 16;
     opts.shadowWindow = 8;
-    opts.threads = threads;
     return opts;
 }
 
@@ -88,7 +87,7 @@ TEST(GoldenLifecycle, ReplayMatchesPinnedDigests)
         incumbent->save(kBundlePath);
 
         const lifecycle::ReplayResult result = lifecycle::replayJournal(
-            journal, incumbent, goldenOptions(1));
+            journal, incumbent, goldenOptions());
         std::ofstream digest(kDigestPath);
         digest << "decisions " << result.digest << '\n'
                << "bundle " << result.finalBundleDigest << '\n';
@@ -116,19 +115,15 @@ TEST(GoldenLifecycle, ReplayMatchesPinnedDigests)
     auto incumbent = std::make_shared<const serve::ModelBundle>(
         serve::ModelBundle::load(kBundlePath));
 
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const lifecycle::ReplayResult result = lifecycle::replayJournal(
-            journal, incumbent, goldenOptions(threads));
-        EXPECT_EQ(result.digest, expect_decisions)
-            << "decision digest diverged at " << threads
-            << " threads";
-        EXPECT_EQ(result.finalBundleDigest, expect_bundle)
-            << "candidate weights diverged at " << threads
-            << " threads";
-        // The stream promotes exactly once.
-        EXPECT_EQ(result.stats.promotions, 1u);
-        EXPECT_EQ(result.finalVersion, 2u);
-    }
+    const lifecycle::ReplayResult result =
+        lifecycle::replayJournal(journal, incumbent, goldenOptions());
+    EXPECT_EQ(result.digest, expect_decisions)
+        << "decision digest diverged";
+    EXPECT_EQ(result.finalBundleDigest, expect_bundle)
+        << "candidate weights diverged";
+    // The stream promotes exactly once.
+    EXPECT_EQ(result.stats.promotions, 1u);
+    EXPECT_EQ(result.finalVersion, 2u);
 }
 
 TEST(GoldenLifecycle, LiveControllerMatchesReplay)
@@ -145,12 +140,12 @@ TEST(GoldenLifecycle, LiveControllerMatchesReplay)
         serve::ModelBundle::load(kBundlePath));
 
     const lifecycle::ReplayResult result =
-        lifecycle::replayJournal(journal, incumbent, goldenOptions(1));
+        lifecycle::replayJournal(journal, incumbent, goldenOptions());
 
     serve::BundleRegistry registry;
     registry.swap(incumbent);
     lifecycle::RegistryHost host(registry);
-    lifecycle::LifecycleController controller(host, goldenOptions(1));
+    lifecycle::LifecycleController controller(host, goldenOptions());
     for (const lifecycle::ObservationRecord &rec : journal.records)
         controller.record(rec);
 

@@ -112,7 +112,6 @@ testOptions()
     opts.retrainWindow = 16;
     opts.shadowWindow = 8;
     opts.historyLimit = 4;
-    opts.threads = 1;
     return opts;
 }
 

@@ -4,9 +4,9 @@
  *
  * The parallel layer's contract (core/parallel.hh) is that thread
  * count changes wall time only: cross validation, grid search, surface
- * sweeps and sample collection must produce bit-identical results at
- * any thread count, and must match an inline re-implementation of the
- * historical serial algorithm. Comparisons below use exact double
+ * sweeps, sample collection and the whole study pipeline must produce
+ * bit-identical results at any thread count, and must match an inline
+ * re-implementation of the historical serial algorithm. Comparisons below use exact double
  * equality on purpose — "close" would hide a broken seed discipline.
  */
 
@@ -16,11 +16,13 @@
 #include <limits>
 #include <memory>
 
+#include "data/csv.hh"
 #include "data/metrics.hh"
 #include "data/split.hh"
 #include "model/cross_validation.hh"
 #include "model/grid_search.hh"
 #include "model/nn_model.hh"
+#include "model/study.hh"
 #include "model/surface.hh"
 #include "numeric/rng.hh"
 #include "numeric/stats.hh"
@@ -33,6 +35,8 @@ using wcnn::model::GridSearchOptions;
 using wcnn::model::GridSearchResult;
 using wcnn::model::NnModel;
 using wcnn::model::NnModelOptions;
+using wcnn::model::StudyOptions;
+using wcnn::model::StudyResult;
 using wcnn::model::SurfaceRequest;
 using wcnn::numeric::Matrix;
 using wcnn::numeric::Rng;
@@ -282,5 +286,47 @@ TEST(ParallelDeterminismTest, SimulatedCollectionIdenticalAtEveryThreadCount)
         const Dataset parallel =
             wcnn::sim::collectSimulated(configs, params, 500, 2, threads);
         expectSameDataset(parallel, serial);
+    }
+}
+
+TEST(ParallelDeterminismTest, RunStudyDefaultThreadsMatchesSerial)
+{
+    // The whole pipeline end to end: the default thread count (the
+    // hardware count) against threads = 1, through collection, tuning,
+    // every CV trial and the final surrogate's weights.
+    StudyOptions options;
+    options.source = StudyOptions::Source::Analytic;
+    options.designSamples = 24;
+    options.sliceAnchorsPerAxis = 2;
+    options.nn = fastNn();
+    options.tune = true;
+    options.tuning.hiddenUnits = {4, 6};
+    options.tuning.targetLosses = {0.08, 0.05};
+    ASSERT_EQ(options.threads, 0u);
+    const StudyResult parallel = wcnn::model::runStudy(options);
+    options.threads = 1;
+    const StudyResult serial = wcnn::model::runStudy(options);
+
+    EXPECT_EQ(wcnn::data::csvDigest(parallel.dataset),
+              wcnn::data::csvDigest(serial.dataset));
+    EXPECT_EQ(parallel.tuning.bestIndex, serial.tuning.bestIndex);
+    EXPECT_EQ(parallel.tunedNn.hiddenUnits, serial.tunedNn.hiddenUnits);
+    EXPECT_EQ(parallel.tunedNn.train.targetLoss,
+              serial.tunedNn.train.targetLoss);
+    ASSERT_EQ(parallel.cv.trials.size(), serial.cv.trials.size());
+    for (std::size_t f = 0; f < serial.cv.trials.size(); ++f) {
+        EXPECT_EQ(parallel.cv.trials[f].validation.harmonicError,
+                  serial.cv.trials[f].validation.harmonicError)
+            << "trial " << f;
+        EXPECT_EQ(parallel.cv.trials[f].training.harmonicError,
+                  serial.cv.trials[f].training.harmonicError)
+            << "trial " << f;
+    }
+    const wcnn::nn::Mlp &pnet = parallel.finalModel.network();
+    const wcnn::nn::Mlp &snet = serial.finalModel.network();
+    ASSERT_EQ(pnet.layers().size(), snet.layers().size());
+    for (std::size_t l = 0; l < snet.layers().size(); ++l) {
+        expectSameMatrix(pnet.weights(l), snet.weights(l));
+        EXPECT_EQ(pnet.biases(l), snet.biases(l)) << "layer " << l;
     }
 }

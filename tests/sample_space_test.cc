@@ -130,13 +130,16 @@ TEST(CollectTest, CollectDatasetAppliesFunctor)
     std::vector<ThreeTierConfig> configs(3);
     configs[1].injectionRate = 999;
     std::size_t calls = 0;
-    const auto ds =
-        collectDataset(configs, [&](const ThreeTierConfig &cfg) {
+    // The counting sampler is not thread-safe: collect serially.
+    const auto ds = collectDataset(
+        configs,
+        [&](const ThreeTierConfig &cfg) {
             ++calls;
             PerfSample s;
             s.throughput = cfg.injectionRate;
             return s;
-        });
+        },
+        1);
     EXPECT_EQ(calls, 3u);
     EXPECT_DOUBLE_EQ(ds[1].y[4], 999.0);
     EXPECT_DOUBLE_EQ(ds[1].x[0], 999.0);

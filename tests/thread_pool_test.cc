@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for the two worker pools: the app-server execute queue
- * (sim::ThreadPool, simulated time) and its generalization into real
- * OS threads (core::ThreadPool / core::parallelFor), whose determinism
- * and first-failure contracts the parallel model paths rely on.
+ * Unit tests for the app-server execute queue (sim::ThreadPool,
+ * simulated time) and for the real-OS-thread fork-join
+ * (core::parallelFor), whose determinism and first-failure contracts
+ * the parallel model paths rely on.
  */
 
 #include <gtest/gtest.h>
@@ -129,7 +129,7 @@ TEST(ThreadPoolTest, NameAccessor)
     EXPECT_EQ(pool.threads(), 4u);
 }
 
-// ---- core::ThreadPool: the real-OS-thread generalization. ----
+// ---- core::parallelFor: the real-OS-thread fork-join. ----
 
 namespace {
 
@@ -143,22 +143,13 @@ TEST(CoreThreadPoolTest, HardwareThreadsAtLeastOne)
     EXPECT_GE(wcnn::core::hardwareThreads(), 1u);
 }
 
-TEST(CoreThreadPoolTest, ThreadsAccessor)
-{
-    wcnn::core::ThreadPool three(3);
-    EXPECT_EQ(three.threads(), 3u);
-    wcnn::core::ThreadPool automatic(0);
-    EXPECT_EQ(automatic.threads(), wcnn::core::hardwareThreads());
-}
-
 TEST(CoreThreadPoolTest, RunsEveryTaskExactlyOnce)
 {
     for (std::size_t threads : kCoreThreadCounts) {
-        wcnn::core::ThreadPool pool(threads);
         const std::size_t n = 100;
         std::vector<int> hits(n, 0);
         std::atomic<int> total{0};
-        pool.forEach(n, [&](std::size_t i) {
+        wcnn::core::parallelFor(n, threads, [&](std::size_t i) {
             ++hits[i]; // own slot only: no synchronization needed
             total.fetch_add(1, std::memory_order_relaxed);
         });
@@ -243,33 +234,12 @@ TEST(CoreThreadPoolTest, ContractViolationPropagates)
 }
 #endif
 
-TEST(CoreThreadPoolTest, PoolReusableAcrossBatchesAndAfterFailure)
-{
-    wcnn::core::ThreadPool pool(4);
-    std::vector<int> first(10, 0);
-    pool.forEach(10, [&](std::size_t i) { first[i] = 1; });
-    EXPECT_THROW(pool.forEach(10,
-                              [](std::size_t i) {
-                                  if (i == 2)
-                                      throw std::runtime_error("x");
-                              }),
-                 std::runtime_error);
-    // The failed batch must not poison the next one.
-    std::vector<int> second(10, 0);
-    pool.forEach(10, [&](std::size_t i) { second[i] = 2; });
-    for (std::size_t i = 0; i < 10; ++i) {
-        EXPECT_EQ(first[i], 1);
-        EXPECT_EQ(second[i], 2);
-    }
-}
-
 TEST(CoreThreadPoolTest, ZeroAndSingleTaskBatches)
 {
-    wcnn::core::ThreadPool pool(4);
     int runs = 0;
-    pool.forEach(0, [&](std::size_t) { ++runs; });
+    wcnn::core::parallelFor(0, 4, [&](std::size_t) { ++runs; });
     EXPECT_EQ(runs, 0);
-    pool.forEach(1, [&](std::size_t i) {
+    wcnn::core::parallelFor(1, 4, [&](std::size_t i) {
         EXPECT_EQ(i, 0u);
         ++runs;
     });

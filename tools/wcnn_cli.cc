@@ -289,7 +289,10 @@ cmdFit(const Args &args)
                   "\n"
                   "With --scenario the full study pipeline runs "
                   "(collect under the scenario,\n"
-                  "cross-validate, fit) instead of loading a CSV.");
+                  "cross-validate, fit) instead of loading a CSV. It "
+                  "runs on --threads\n"
+                  "cores (default 0: all of them); the result is "
+                  "bit-identical at any count.");
         return 0;
     }
     const std::string data_path = args.str("data", "");
@@ -312,7 +315,7 @@ cmdFit(const Args &args)
             static_cast<std::size_t>(args.num("replicates", 3));
         study.seed = static_cast<std::uint64_t>(args.num("seed", 2006));
         study.threads =
-            static_cast<std::size_t>(args.num("threads", 1));
+            static_cast<std::size_t>(args.num("threads", 0));
         study.tune = args.has("tune");
         study.nn.hiddenUnits = {
             static_cast<std::size_t>(args.num("units", 16))};
@@ -580,8 +583,6 @@ lifecycleOptionsFromArgs(const Args &args)
         "shadow-window", static_cast<double>(opts.shadowWindow)));
     opts.historyLimit = static_cast<std::size_t>(args.num(
         "history", static_cast<double>(opts.historyLimit)));
-    opts.threads = static_cast<std::size_t>(args.num(
-        "lifecycle-threads", static_cast<double>(opts.threads)));
     return opts;
 }
 
@@ -614,7 +615,7 @@ cmdServe(const Args &args)
             "--drift-window, \n"
             "--drift-threshold, --drift-patience, --retrain-window, "
             "--shadow-window,\n"
-            "--history, --seed, --epochs, --lifecycle-threads.\n"
+            "--history, --seed, --epochs.\n"
             "Runs until stdin closes, or for --duration seconds; in "
             "foreground mode\n"
             "a line reading `rollback` re-promotes the previous "
@@ -887,8 +888,7 @@ cmdLifecycle(const std::string &sub, const Args &args)
             "[--retrain-window N]\n"
             "                      [--shadow-window N] [--history N] "
             "[--seed S]\n"
-            "                      [--epochs N] [--lifecycle-threads "
-            "N] [--out BUNDLE]\n"
+            "                      [--epochs N] [--out BUNDLE]\n"
             "\n"
             "Re-runs the drift -> retrain -> shadow -> promote loop "
             "over a journaled\n"
@@ -896,11 +896,11 @@ cmdLifecycle(const std::string &sub, const Args &args)
             "--journal`). Decisions\n"
             "are a pure function of the records and the seed, so the "
             "replay\n"
-            "reproduces a live run bit-identically at any thread "
-            "count; the printed\n"
-            "decision digest is the value CI pins. --out saves the "
-            "bundle left\n"
-            "serving after the last record.");
+            "reproduces a live run bit-identically; the printed "
+            "decision digest is\n"
+            "the value CI pins. --out saves the bundle left serving "
+            "after the last\n"
+            "record.");
         return sub.empty() && !args.has("help") ? 2 : 0;
     }
     if (sub != "replay") {
