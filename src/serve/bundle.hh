@@ -14,7 +14,7 @@
  *
  * ModelBundle implements model::PerformanceModel, so everything that
  * scores through a fitted model — the recommender, surface sweeps,
- * the serving batcher — runs on a loaded bundle unchanged, and
+ * the serving forward — runs on a loaded bundle unchanged, and
  * ModelBundle::predict is bit-identical to NnModel::predict on the
  * same parameters by construction (same expression, same order).
  */
@@ -152,7 +152,7 @@ class ModelBundle : public model::PerformanceModel
     bool isLoaded = false;
 };
 
-/** Shared-ownership handle the registry and batcher pass around. */
+/** Shared-ownership handle the registry and its readers pass around. */
 using BundlePtr = std::shared_ptr<const ModelBundle>;
 
 } // namespace serve

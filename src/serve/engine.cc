@@ -1,8 +1,11 @@
 #include "engine.hh"
 
+#include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "core/contracts.hh"
+#include "core/failpoint.hh"
 #include "core/telemetry.hh"
 #include "serve/error.hh"
 
@@ -19,16 +22,25 @@ elapsedUs(std::int64_t start_ns, std::int64_t end_ns)
     return static_cast<std::uint64_t>(d > 0 ? d / 1000 : 0);
 }
 
+/** The typed answer to a request of the wrong arity. */
+BadRequest
+arityMismatch(std::size_t got, const ModelBundle &bundle)
+{
+    return BadRequest("request has " + std::to_string(got) +
+                      " inputs, bundle expects " +
+                      std::to_string(bundle.inputDim()));
+}
+
 } // namespace
 
 // ServeCore ----------------------------------------------------------
 
 ServeCore::ServeCore(ServeOptions options)
-    : opts(std::move(options)), cache(opts.cache),
-      queue(bundles, opts.batch)
+    : opts(std::move(options)), cache(opts.cache)
 {
     WCNN_REQUIRE(opts.maxConnections >= 1,
                  "maxConnections must be >= 1");
+    WCNN_REQUIRE(opts.maxBatch >= 1, "maxBatch must be >= 1");
 }
 
 std::uint64_t
@@ -63,8 +75,8 @@ ServeCore::observe(const numeric::Vector &x, const numeric::Vector &y)
                          " outputs, bundle expects " +
                          std::to_string(bundle->outputDim()));
 
-    // Direct forward on the incumbent: deterministic bits, and neither
-    // the cache nor the batcher sees feedback traffic.
+    // Direct forward on the incumbent: deterministic bits, and the
+    // cache never sees feedback traffic.
     const numeric::Vector predicted = bundle->predict(x);
 
     nObservations.fetch_add(1);
@@ -91,142 +103,112 @@ ServeCore::predict(const numeric::Vector &x)
     numeric::Vector y;
     if (cache.lookup(x, y))
         return y;
-    const std::uint64_t version = bundles.version();
-    y = queue.predictOne(x);
+    const BundleRegistry::Snapshot snap = bundles.snapshot();
+    if (snap.bundle == nullptr)
+        throw NoModelError();
+    if (x.size() != snap.bundle->inputDim())
+        throw arityMismatch(x.size(), *snap.bundle);
+    y = snap.bundle->predict(x);
     // Best-effort: skip the insert when a hot swap raced the forward,
     // so a stale prediction cannot outlive deploy()'s invalidation.
-    if (bundles.version() == version)
+    if (bundles.version() == snap.version)
         cache.insert(x, y);
     return y;
 }
 
-std::vector<ServeCore::PendingGroup>
-ServeCore::answerRequestsAsync(
-    const std::vector<numeric::Vector> &requests,
-    const OnResult &on_result, const OnError &on_error,
-    const std::function<void()> &on_ready)
+void
+ServeCore::answer(const std::vector<numeric::Vector> &requests,
+                  const OnResult &on_result, const OnError &on_error)
 {
-    std::vector<PendingGroup> out;
-    if (!opts.coalesceFrames && requests.size() > 1) {
-        // Per-request baseline: every request is its own group (its
-        // own dispatcher wakeup, its own forward).
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            std::vector<PendingGroup> sub = answerRequestsAsync(
-                {requests[i]},
-                [&](std::size_t, const numeric::Vector &y) {
-                    on_result(i, y);
-                },
-                [&](std::size_t, const wcnn::Error &error) {
-                    on_error(i, error);
-                },
-                on_ready);
-            for (PendingGroup &group : sub) {
-                // The inner group indexes its single-request view;
-                // re-address its rows to the caller's slot.
-                for (std::size_t &slot : group.slots)
-                    slot = i;
-                out.push_back(std::move(group));
-            }
-        }
-        return out;
-    }
-
     nRequests.fetch_add(requests.size());
     WCNN_COUNTER_ADD("serve.requests", requests.size());
     const std::int64_t start_ns =
         WCNN_TELEMETRY_ENABLED() ? core::telemetry::nowNs() : 0;
 
-    const BundlePtr bundle = bundles.active();
-    std::vector<std::size_t> miss_index;
+    // One snapshot for the whole span: every forward below runs on
+    // this bundle, and its version guards every cache insert.
+    const BundleRegistry::Snapshot snap = bundles.snapshot();
+    std::vector<std::size_t> misses;
     numeric::Vector y;
-
-    // Pass 1: per-request validation and cache lookups.
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (bundle == nullptr) {
+        if (snap.bundle == nullptr) {
             nErrors.fetch_add(1);
             on_error(i, NoModelError());
-        } else if (requests[i].size() != bundle->inputDim()) {
+        } else if (requests[i].size() != snap.bundle->inputDim()) {
             nErrors.fetch_add(1);
-            on_error(i, BadRequest(
-                            "request has " +
-                            std::to_string(requests[i].size()) +
-                            " inputs, bundle expects " +
-                            std::to_string(bundle->inputDim())));
+            on_error(i, arityMismatch(requests[i].size(), *snap.bundle));
         } else if (cache.lookup(requests[i], y)) {
             on_result(i, y);
         } else {
-            miss_index.push_back(i);
+            misses.push_back(i);
         }
     }
 
-    // Pass 2: all misses as ONE batcher group (this is the coalescing
-    // that turns a pipelined client into a batched forward) — but
-    // submitted without waiting; finishGroup() delivers the rows.
-    if (!miss_index.empty()) {
-        PendingGroup group;
-        group.version = bundles.version();
-        group.startNs = start_ns;
-        group.slots = std::move(miss_index);
-        group.keys.reserve(group.slots.size());
-        for (const std::size_t i : group.slots)
-            group.keys.push_back(requests[i]);
-        try {
-            numeric::Matrix xs(group.slots.size(),
-                               bundle->inputDim());
-            for (std::size_t k = 0; k < group.slots.size(); ++k)
-                xs.setRow(k, requests[group.slots[k]]);
-            group.future = queue.submitMany(std::move(xs), on_ready);
-            out.push_back(std::move(group));
-        } catch (const wcnn::Error &error) {
-            // Admission control (Overloaded) and races with stop():
-            // answered inline, synchronously, like a validation
-            // failure.
-            nErrors.fetch_add(group.slots.size());
-            for (const std::size_t i : group.slots)
-                on_error(i, error);
-        }
-    }
+    // The misses, in row order, as forwards of at most the row budget
+    // (this is the coalescing that turns a pipelined client into a
+    // batched forward; the per-request baseline runs one row each).
+    const std::size_t budget = opts.coalesceFrames ? opts.maxBatch : 1;
+    for (std::size_t at = 0; at < misses.size(); at += budget)
+        forward(snap, requests, misses.data() + at,
+                std::min(budget, misses.size() - at), on_result,
+                on_error);
 
     if (start_ns != 0) {
-        // Inline answers (everything not pending) record their
-        // latency now; pending rows record theirs in finishGroup().
-        std::size_t pending_rows = 0;
-        for (const PendingGroup &group : out)
-            pending_rows += group.slots.size();
         const std::uint64_t elapsed_us =
             elapsedUs(start_ns, core::telemetry::nowNs());
-        for (std::size_t i = pending_rows; i < requests.size(); ++i)
+        for (std::size_t i = 0; i < requests.size(); ++i)
             WCNN_HISTOGRAM_RECORD("serve.request_us", elapsed_us);
     }
-    return out;
 }
 
 void
-ServeCore::finishGroup(PendingGroup &group, const OnResult &on_result,
-                       const OnError &on_error)
+ServeCore::forward(const BundleRegistry::Snapshot &snap,
+                   const std::vector<numeric::Vector> &requests,
+                   const std::size_t *rows, std::size_t count,
+                   const OnResult &on_result, const OnError &on_error)
 {
-    try {
-        const numeric::Matrix ys = group.future.get();
-        // Best-effort cache fill: skipped when a hot swap raced the
-        // forward, so a stale prediction cannot outlive deploy()'s
-        // invalidation.
-        const bool cacheable = bundles.version() == group.version;
-        for (std::size_t k = 0; k < group.slots.size(); ++k) {
-            const numeric::Vector row = ys.row(k);
-            if (cacheable)
-                cache.insert(group.keys[k], row);
-            on_result(group.slots[k], row);
-        }
-    } catch (const wcnn::Error &error) {
-        nErrors.fetch_add(group.slots.size());
-        for (const std::size_t i : group.slots)
-            on_error(i, error);
+    WCNN_SPAN("serve.batch", static_cast<double>(count));
+    WCNN_HISTOGRAM_RECORD("serve.batch.rows", count);
+    nBatches.fetch_add(1);
+    std::size_t seen = maxRows.load();
+    while (count > seen && !maxRows.compare_exchange_weak(seen, count)) {
     }
-    if (group.startNs != 0) {
-        const std::uint64_t elapsed_us =
-            elapsedUs(group.startNs, core::telemetry::nowNs());
-        for (std::size_t k = 0; k < group.slots.size(); ++k)
-            WCNN_HISTOGRAM_RECORD("serve.request_us", elapsed_us);
+
+    const ModelBundle &bundle = *snap.bundle;
+    numeric::Matrix ys;
+    try {
+        WCNN_FAILPOINT("serve.predict",
+                       throw ServeError("injected: serve.predict"));
+        numeric::Matrix xs(count, bundle.inputDim());
+        for (std::size_t k = 0; k < count; ++k)
+            xs.setRow(k, requests[rows[k]]);
+        ys = bundle.predictAll(xs);
+    } catch (const wcnn::Error &error) {
+        // A fault costs this forward's rows, never the caller's loop.
+        nErrors.fetch_add(count);
+        for (std::size_t k = 0; k < count; ++k)
+            on_error(rows[k], error);
+        return;
+    } catch (const std::exception &e) {
+        // Bugs (contract trips) neither: converted to a typed serving
+        // fault carrying the text.
+        const ServeError error(std::string("predict failed: ") +
+                               e.what());
+        nErrors.fetch_add(count);
+        for (std::size_t k = 0; k < count; ++k)
+            on_error(rows[k], error);
+        return;
+    }
+
+    // Best-effort cache fill: skipped when a hot swap raced the
+    // forward, so a stale prediction cannot outlive deploy()'s
+    // invalidation.
+    const bool cacheable = bundles.version() == snap.version;
+    for (std::size_t k = 0; k < count; ++k) {
+        const numeric::Vector y = ys.row(k);
+        if (cacheable)
+            cache.insert(requests[rows[k]], y);
+        on_result(rows[k], y);
     }
 }
 
@@ -274,6 +256,8 @@ ServeCore::statsSnapshot() const
     s.pings = nPings.load();
     s.observations = nObservations.load();
     s.droppedObservations = nDroppedObservations.load();
+    s.batches = nBatches.load();
+    s.maxBatchRows = maxRows.load();
     return s;
 }
 

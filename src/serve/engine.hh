@@ -3,13 +3,15 @@
  * The serving core: everything a request needs except the transport.
  *
  * ServeCore owns its copy of the ServeOptions, the BundleRegistry
- * (hot swap), the PredictionCache, the MicroBatcher, and the exact
- * wire counters, and answers requests cache-then-batch: hits inline,
- * misses as one batcher group that the dispatcher runs together with
- * whatever else is queued. It knows nothing about sockets: the
+ * (hot swap), the PredictionCache and the exact wire counters, and
+ * answers requests cache-then-forward on the calling thread: hits
+ * from the cache, misses as consecutive ModelBundle::predictAll
+ * forwards of at most `maxBatch` rows, in row order. No request
+ * waits on another thread. It knows nothing about sockets: the
  * EventServer (event_server.hh) feeds it through one Session per
- * connection (session.hh), while bench_lifecycle and
- * chaos_lifecycle_test drive it directly with no transport at all.
+ * connection (session.hh), so each shard loop runs the forwards for
+ * what it read, while bench_lifecycle and chaos_lifecycle_test drive
+ * it directly with no transport at all.
  *
  * The reply bytes a client sees are checked against a sequential
  * model that shares no serving code with this one — the expected
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "core/error.hh"
-#include "serve/batcher.hh"
 #include "serve/cache.hh"
 #include "serve/registry.hh"
 
@@ -54,17 +55,21 @@ struct ServeOptions
     int idleTimeoutMs = 30000;
 
     /**
-     * Whether a connection handler may coalesce the requests it has
-     * buffered into one batcher group and their responses into one
-     * write. False forces one group per request and one write(2) per
-     * response — a server with no batching anywhere in its path,
-     * the honest per-request baseline `wcnn bench-serve` and
-     * bench_serve compare micro-batching against.
+     * Whether a connection may answer the requests of one read
+     * together: their cache misses as shared forwards and their
+     * replies as one write. False forces one forward per request and
+     * one write(2) per response — a server with no batching anywhere
+     * in its path, the honest per-request baseline `wcnn bench-serve`
+     * and bench_serve compare micro-batching against.
      */
     bool coalesceFrames = true;
 
-    /** Micro-batching knobs. */
-    BatcherOptions batch;
+    /**
+     * Row budget per forward. The misses of one read run as
+     * consecutive forwards of at most this many rows; 1 gives every
+     * miss its own forward.
+     */
+    std::size_t maxBatch = 64;
 
     /** Prediction cache knobs; capacity 0 disables caching. */
     CacheOptions cache;
@@ -87,13 +92,17 @@ struct ServeStats
     std::uint64_t observations = 0;
     /** Observations dropped because the lifecycle sink faulted. */
     std::uint64_t droppedObservations = 0;
+    /** Forwards run for wire requests. */
+    std::uint64_t batches = 0;
+    /** Largest row count of any single forward. */
+    std::size_t maxBatchRows = 0;
     /** Connections currently being served. */
     std::size_t activeConnections = 0;
 };
 
 /**
  * Transport-independent serving core: bundle registry, prediction
- * cache, micro-batcher, and exact wire counters.
+ * cache, and exact wire counters.
  */
 class ServeCore
 {
@@ -128,8 +137,8 @@ class ServeCore
 
     /**
      * Handle one Observe feedback record: validate, predict x on the
-     * incumbent bundle (direct, deterministic bits — no cache, no
-     * batcher), and forward (x, predicted, observed) to the sink.
+     * incumbent bundle (direct, deterministic bits — no cache), and
+     * forward (x, predicted, observed) to the sink.
      * The reply a client sees never depends on the sink: a sink
      * fault is contained here (record dropped, counter bumped), so
      * shadow evaluation is invisible on the wire by construction.
@@ -139,7 +148,13 @@ class ServeCore
      */
     void observe(const numeric::Vector &x, const numeric::Vector &y);
 
-    /** In-process predict: cache, then micro-batcher on a miss. */
+    /**
+     * In-process predict: the cache, then ModelBundle::predict on a
+     * miss (bit-identical either way).
+     *
+     * @throws NoModelError before the first deploy, BadRequest when x
+     *         disagrees with the bundle's input dimension.
+     */
     numeric::Vector predict(const numeric::Vector &x);
 
     /** Result callback: (request index, prediction). */
@@ -150,57 +165,16 @@ class ServeCore
         std::function<void(std::size_t, const wcnn::Error &)>;
 
     /**
-     * One in-flight batcher group of answerRequestsAsync(): the
-     * future plus everything finishGroup() needs to deliver it —
-     * which request slot each row answers, the cache keys, and the
-     * bundle version guarding the cache inserts.
+     * Answer a span of request vectors on the calling thread, calling
+     * exactly one callback per request before returning. Arity errors
+     * and cache hits are answered first, in request order; the misses
+     * then run as consecutive forwards of at most `maxBatch` rows (1
+     * when coalescing is off), in row order, on the bundle snapshot
+     * taken on entry. A failed forward answers its own rows with a
+     * typed error and leaves the other forwards alone.
      */
-    struct PendingGroup
-    {
-        PredictionFuture future;
-        /** Request index answered by each future row, in row order. */
-        std::vector<std::size_t> slots;
-        /** Cache key per row (the request vectors themselves). */
-        std::vector<numeric::Vector> keys;
-        /** Bundle version at submit; inserts skip on a raced swap. */
-        std::uint64_t version = 0;
-        /** answerRequestsAsync() entry time (latency telemetry). */
-        std::int64_t startNs = 0;
-
-        /** Whether finishGroup() would return without blocking. */
-        bool ready() const { return future.ready(); }
-    };
-
-    /**
-     * Answer a coalesced span of request vectors without blocking:
-     * everything answerable *now* — admission failures, arity errors,
-     * cache hits — is delivered through the callbacks, in request
-     * order, before returning; cache misses are submitted to the
-     * batcher as one group (or one group per request when coalescing
-     * is off) without waiting. Each returned group must later be
-     * handed to finishGroup() to deliver its rows. `on_ready` is
-     * forwarded to MicroBatcher::submitMany (fires once per group,
-     * from the dispatcher thread, after that group resolved) so an
-     * event loop can sleep instead of polling.
-     */
-    std::vector<PendingGroup> answerRequestsAsync(
-        const std::vector<numeric::Vector> &requests,
-        const OnResult &on_result, const OnError &on_error,
-        const std::function<void()> &on_ready);
-
-    /**
-     * Deliver a resolved group's rows through the callbacks (blocks
-     * if the group has not resolved yet), inserting cacheable results
-     * under the version guard. Call at most once per group.
-     */
-    void finishGroup(PendingGroup &group, const OnResult &on_result,
-                     const OnError &on_error);
-
-    /** Refuse new batches and drain the queued ones (shutdown). */
-    void stopBatcher() { queue.stop(); }
-
-    /** Micro-batcher counters. */
-    MicroBatcher::Stats batcherStats() const { return queue.stats(); }
+    void answer(const std::vector<numeric::Vector> &requests,
+                const OnResult &on_result, const OnError &on_error);
 
     /** Prediction cache counters. */
     PredictionCache::Stats cacheStats() const { return cache.stats(); }
@@ -217,10 +191,16 @@ class ServeCore
     ServeStats statsSnapshot() const;
 
   private:
+    /** One forward over the misses `rows` (indices into `requests`):
+     *  deliver each row, fill the cache under the version guard. */
+    void forward(const BundleRegistry::Snapshot &snap,
+                 const std::vector<numeric::Vector> &requests,
+                 const std::size_t *rows, std::size_t count,
+                 const OnResult &on_result, const OnError &on_error);
+
     const ServeOptions opts;
     BundleRegistry bundles;
     PredictionCache cache;
-    MicroBatcher queue;
 
     /** Serializes sink installs and calls (record-stream order). */
     mutable std::mutex sinkMutex;
@@ -233,6 +213,8 @@ class ServeCore
     std::atomic<std::uint64_t> nPings{0};
     std::atomic<std::uint64_t> nObservations{0};
     std::atomic<std::uint64_t> nDroppedObservations{0};
+    std::atomic<std::uint64_t> nBatches{0};
+    std::atomic<std::size_t> maxRows{0};
 };
 
 } // namespace serve

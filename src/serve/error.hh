@@ -3,16 +3,16 @@
  * Typed errors of the inference-serving subsystem.
  *
  * Serving adds a class of faults the offline pipeline never sees:
- * clients send garbage, queues fill up, models are swapped underneath
- * requests. Each of those is a *fault*, not a bug (see
+ * clients send garbage, connection tables fill up, models are swapped
+ * underneath requests. Each of those is a *fault*, not a bug (see
  * core/error.hh), so each gets a wcnn::Error subclass with a stable
  * kind() that the wire protocol forwards verbatim in error frames —
  * a client can switch on the kind without parsing prose.
  *
  * Kinds:
  *  - "serve"             — base / internal serving failure.
- *  - "serve.overloaded"  — admission control rejected the request
- *                          (queue or connection limit); retry later.
+ *  - "serve.overloaded"  — admission control rejected the connection
+ *                          (connection limit); retry later.
  *  - "serve.protocol"    — malformed frame or JSON line.
  *  - "serve.no_model"    — no bundle deployed yet.
  *  - "serve.bad_request" — well-formed frame, wrong arity for the
@@ -48,14 +48,14 @@ class ServeError : public Error
 };
 
 /**
- * Admission control rejected the request instead of stalling the
- * caller. Kind "serve.overloaded". Always retryable: the queue was
- * full *now*, not broken.
+ * Admission control rejected a connection instead of stalling the
+ * caller. Kind "serve.overloaded". Always retryable: the connection
+ * table was full *now*, not broken.
  */
 class Overloaded : public ServeError
 {
   public:
-    /** @param message What was full (queue, connection slots). */
+    /** @param message What was full (connection slots). */
     explicit Overloaded(const std::string &message)
         : ServeError("serve.overloaded", message)
     {

@@ -1,7 +1,6 @@
 #include "event_server.hh"
 
 #include <algorithm>
-#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -27,10 +26,9 @@ constexpr int kTickMs = 100;
 /**
  * Read chunk size. Under deep pipelining a shard serves many
  * connections per sweep, and one big read per connection both cuts
- * the syscall count and lets the Session coalesce more frames into
- * one batcher group. (Chunk size never changes the response bytes —
- * the Session is fragmentation-invariant by the reply-ordering
- * contract.)
+ * the syscall count and lets the Session answer more frames with one
+ * forward. (Chunk size never changes the response bytes — the Session
+ * is fragmentation-invariant by the reply-ordering contract.)
  */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -89,29 +87,6 @@ class EventServer::Shard
         reactor.wakeup();
     }
 
-    /**
-     * A connection's batcher group resolved: queue it for a
-     * non-blocking collect and wake the loop. Called from the
-     * MicroBatcher dispatcher thread (via the Session's on_ready
-     * hook), which is why EventServer::stop() must join the
-     * dispatcher before destroying shards.
-     */
-    void notifyReady(int fd)
-    {
-        bool first = false;
-        {
-            std::lock_guard<std::mutex> lock(readyMutex);
-            first = readyFds.empty();
-            readyFds.push_back(fd);
-        }
-        // One wakeup per drain is enough: whoever made the list
-        // non-empty arms it, the rest of a batch's notifies ride
-        // along (collectReady() swaps the whole list). A batch
-        // resolving 8 groups costs 1 eventfd syscall, not 8.
-        if (first)
-            reactor.wakeup();
-    }
-
   private:
     /** Per-connection state: socket, protocol machine, tx buffer. */
     struct Conn
@@ -126,10 +101,8 @@ class EventServer::Shard
         bool armedWrite = false;
         std::int64_t idleDeadlineNs = 0;
 
-        Conn(net::TcpStream s, ServeCore &core, bool coalesce,
-             std::function<void()> on_ready)
-            : stream(std::move(s)),
-              session(core, coalesce, std::move(on_ready))
+        Conn(net::TcpStream s, ServeCore &core, bool coalesce)
+            : stream(std::move(s)), session(core, coalesce)
         {
         }
     };
@@ -143,7 +116,6 @@ class EventServer::Shard
             const bool draining =
                 srv.stopping.load(std::memory_order_acquire);
             adoptPending();
-            collectReady();
 
             for (const net::Reactor::Event &ev : events) {
                 auto it = conns.find(ev.fd);
@@ -187,8 +159,7 @@ class EventServer::Shard
             stream.setNonBlocking(true);
             const int fd = stream.nativeHandle();
             auto conn = std::make_unique<Conn>(
-                std::move(stream), srv.core, srv.opts.coalesceFrames,
-                [this, fd] { notifyReady(fd); });
+                std::move(stream), srv.core, srv.opts.coalesceFrames);
             if (srv.opts.idleTimeoutMs > 0) {
                 conn->idleDeadlineNs =
                     now +
@@ -201,42 +172,25 @@ class EventServer::Shard
     }
 
     /**
-     * Drain the ready inbox: connections whose batcher group
-     * resolved since the last tick get a non-blocking collect, so
-     * their now-complete replies reach the wire.
+     * Queue a consume()'s writes and flush each on its own while the
+     * socket takes them: one write(2) per element, so the per-request
+     * baseline keeps its one write per reply. Behind a backlog the
+     * writes wait for EPOLLOUT instead.
      */
-    void collectReady()
+    void queueWrites(Conn &c)
     {
-        std::vector<int> fds;
-        {
-            std::lock_guard<std::mutex> lock(readyMutex);
-            fds.swap(readyFds);
-        }
-        for (const int fd : fds) {
-            auto it = conns.find(fd);
-            if (it == conns.end())
-                continue; // closed (or reused) since the notify
-            Conn &c = *it->second;
-            try {
-                pump(c);
-                settle(fd, c);
-            } catch (const wcnn::Error &) {
-                closeConn(fd);
+        for (net::Bytes &bytes : writes) {
+            if (c.tx.empty()) {
+                c.tx.swap(bytes);
+                flushTx(c);
+            } else {
+                c.tx.insert(c.tx.end(), bytes.begin(), bytes.end());
             }
         }
     }
 
-    /** Collect completed replies (non-blocking) and flush them. */
-    void pump(Conn &c)
-    {
-        std::vector<net::Bytes> writes;
-        c.session.collect(/*block=*/false, writes);
-        for (net::Bytes &frame : writes)
-            c.tx.insert(c.tx.end(), frame.begin(), frame.end());
-        flushTx(c);
-    }
-
-    /** Read to EAGAIN, feeding each chunk through the Session. */
+    /** Read until the socket is empty, feeding each chunk through
+     *  the Session. */
     void onReadable(Conn &c)
     {
         std::uint8_t chunk[kReadChunk];
@@ -249,9 +203,8 @@ class EventServer::Shard
             if (status == net::NbStatus::WouldBlock)
                 return;
             if (status == net::NbStatus::Eof) {
-                // Half-close: every buffered frame has been staged
-                // (and submitted); emit what is ready, finish the
-                // rest when it resolves, then close.
+                // Half-close: every complete frame has been answered;
+                // flush the replies, then close.
                 c.closeAfterFlush = true;
                 return;
             }
@@ -260,19 +213,25 @@ class EventServer::Shard
                     core::telemetry::nowNs() +
                     std::int64_t{srv.opts.idleTimeoutMs} * kMsToNs;
 
-            // The consume never blocks on the batcher: in-flight
-            // predictions park in the session outbox and come back
-            // through notifyReady()/collectReady(), which is what
-            // lets one shard hold many in-flight batch groups.
+            // The consume answers every frame the chunk completed,
+            // cache misses included, on this thread. The writes are
+            // cleared first: a flush that threw for another connection
+            // may have left some behind.
+            writes.clear();
             const Session::Verdict verdict =
-                c.session.consume(chunk, n);
-            pump(c);
+                c.session.consume(chunk, n, writes);
+            queueWrites(c);
             if (verdict == Session::Verdict::CloseAfterFlush) {
                 c.closeAfterFlush = true;
                 return;
             }
             if (c.tx.size() - c.txOff > kTxBackpressureBytes)
                 c.paused = true;
+            // A short read emptied the socket; whatever arrives next
+            // (data or EOF) makes the level-triggered epoll report
+            // the connection again, so there is no EAGAIN to read.
+            if (n < sizeof(chunk))
+                return;
         }
     }
 
@@ -298,10 +257,7 @@ class EventServer::Shard
     void settle(int fd, Conn &c)
     {
         const bool flushed = c.txOff >= c.tx.size();
-        if (c.closeAfterFlush && flushed && c.session.drained()) {
-            // The drained() gate keeps a half-closed connection open
-            // until its in-flight predictions have been emitted —
-            // those replies are owed before the FIN.
+        if (c.closeAfterFlush && flushed) {
             closeConn(fd);
             return;
         }
@@ -350,16 +306,8 @@ class EventServer::Shard
         for (auto &entry : conns) {
             Conn &c = *entry.second;
             try {
-                // Settle in-flight predictions first: the batcher is
-                // still running here (EventServer::stop() joins the
-                // shards before stopping it), and stop() itself
-                // drains queued groups — an accepted request is
-                // answered even across a shutdown.
-                std::vector<net::Bytes> writes;
-                c.session.collect(/*block=*/true, writes);
-                for (net::Bytes &frame : writes)
-                    c.tx.insert(c.tx.end(), frame.begin(),
-                                frame.end());
+                // Every request read has been answered already; what
+                // is owed is the unflushed tail of the tx buffer.
                 int spins = 0;
                 while (c.txOff < c.tx.size() &&
                        spins++ < kDrainSpins) {
@@ -388,8 +336,7 @@ class EventServer::Shard
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
     std::mutex inboxMutex;
     std::vector<net::TcpStream> inbox;
-    std::mutex readyMutex;
-    std::vector<int> readyFds; ///< conns with a resolved group
+    std::vector<net::Bytes> writes; ///< one consume()'s output
     std::thread thread;
 };
 
@@ -439,11 +386,6 @@ EventServer::stop()
         worker->wake();
     for (auto &worker : workers)
         worker->join();
-    // Stop the batcher BEFORE destroying the shards: its dispatcher
-    // thread fires notifyReady() hooks into shard objects, and
-    // stopBatcher() joins it — after this line no hook can still be
-    // in flight against a shard about to be freed.
-    core.stopBatcher();
     workers.clear();
 }
 

@@ -10,19 +10,19 @@
  *                                     TimerWheel (idle timeouts)
  *
  * Every connection of a shard is multiplexed onto one event-loop
- * thread: nonblocking reads drain a socket to EAGAIN, the Session
- * state machine (session.hh) turns the bytes into staged replies,
- * and a buffered writer flushes them — falling back to EPOLLOUT when
- * the kernel buffer fills, and *pausing reads* (backpressure) when a
- * slow reader lets its transmit buffer grow past a bound. Idle
- * timeouts come from a timer wheel at 100 ms granularity.
+ * thread: nonblocking reads drain a socket (a short read means it is
+ * empty), the Session state machine (session.hh) answers the bytes of
+ * each read — cache hits, and the misses as forwards of at most
+ * `maxBatch` rows, all on the shard thread — and a buffered writer
+ * flushes the replies — falling back to EPOLLOUT when the kernel
+ * buffer fills, and *pausing reads* (backpressure) when a slow reader
+ * lets its transmit buffer grow past a bound. Idle timeouts come from
+ * a timer wheel at 100 ms granularity.
  *
- * A request never blocks its shard: misses are submitted to the
- * micro-batcher and their reply slots wait in the Session's outbox;
- * the batcher's completion hook wakes the shard to emit them. So a
- * request arriving while a batch runs its forward is decoded at once
- * and joins the next batch instead of waiting behind a blocked reader
- * (DESIGN.md §5.7 has the measurement that chose this design).
+ * A request never leaves its shard: no queue, no dispatcher thread,
+ * no completion wakeup. The cost is that a slow forward stalls its
+ * own shard's connections while it runs, never another shard's
+ * (DESIGN.md §5.7 has the measurements that chose this design).
  *
  * Reply bytes and their order, typed rejections, admission control,
  * hot-swap semantics and graceful drain are pinned against a
@@ -30,23 +30,26 @@
  * tortured by serve_torture_test.cc and chaos_serve_test.cc.
  *
  * Fault tolerance:
- *  - Admission control, not backpressure-by-stalling: a full predict
- *    queue throws serve::Overloaded which becomes a typed error frame
- *    the client can retry on; a full connection table answers the
- *    surplus connection with that same error frame and closes it.
+ *  - Admission control: a full connection table answers the surplus
+ *    connection with a typed serve.overloaded error frame and closes
+ *    it. Request overload is TCP backpressure: a connection whose
+ *    unflushed replies pass 256 KiB stops being read until its
+ *    client reads them.
  *  - Malformed wire bytes get a "serve.protocol" error frame and the
  *    connection is closed; the server itself never dies on garbage.
  *  - Blast radius: a connection whose handling throws (socket error,
  *    injected failpoint) is closed and forgotten; its shard loop and
  *    every other connection on it keep running — chaos_serve_test
- *    pins this "one poisoned connection never kills its shard".
+ *    pins this "one poisoned connection never kills its shard". A
+ *    faulted forward answers its rows with typed errors.
  *  - Hot swap: deploy() atomically installs a new bundle and clears
- *    the prediction cache; in-flight batches finish on the bundle
- *    snapshot they started with.
+ *    the prediction cache; a read being answered finishes on the
+ *    bundle snapshot it started with.
  *
  * Failpoint sites: serve.accept in the acceptor, serve.read before
  * every read attempt, serve.write before every flush attempt,
- * serve.decode in the Session, serve.predict in the MicroBatcher.
+ * serve.decode in the Session, serve.predict before every forward in
+ * ServeCore.
  */
 
 #ifndef WCNN_SERVE_EVENT_SERVER_HH
@@ -68,15 +71,14 @@ namespace serve {
 /**
  * Batched, cached, fault-tolerant TCP inference server: an acceptor
  * distributing connections round-robin over per-core shard event
- * loops.
+ * loops, each answering its own connections' requests.
  */
 class EventServer
 {
   public:
     /**
-     * Construct the serving stack (no socket yet; see start()). The
-     * batcher dispatcher starts immediately, so the in-process
-     * predict() path works without start().
+     * Construct the serving stack (no socket, no thread yet; see
+     * start()). The in-process predict() path works without start().
      */
     explicit EventServer(ServeOptions options = {});
 
@@ -119,8 +121,8 @@ class EventServer
 
     /**
      * Graceful drain: stop accepting, let every shard flush the
-     * replies it has staged, close all connections, join all
-     * threads, drain the batcher. Idempotent.
+     * replies to what it has read, close all connections, join all
+     * threads. Idempotent.
      */
     void stop();
 
@@ -136,12 +138,6 @@ class EventServer
         ServeStats s = core.statsSnapshot();
         s.activeConnections = liveConns.load();
         return s;
-    }
-
-    /** Micro-batcher counters. */
-    MicroBatcher::Stats batcherStats() const
-    {
-        return core.batcherStats();
     }
 
     /** Prediction cache counters. */

@@ -36,5 +36,12 @@ BundleRegistry::version() const
     return currentVersion;
 }
 
+BundleRegistry::Snapshot
+BundleRegistry::snapshot() const
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    return Snapshot{current, currentVersion};
+}
+
 } // namespace serve
 } // namespace wcnn

@@ -54,6 +54,21 @@ class BundleRegistry
     /** Version of the active bundle; 0 before the first swap. */
     std::uint64_t version() const;
 
+    /** The active bundle together with its version. */
+    struct Snapshot
+    {
+        BundlePtr bundle;
+        std::uint64_t version = 0;
+    };
+
+    /**
+     * Read the active bundle and its version under one lock. A caller
+     * that guards a cache insert with the version must take both here:
+     * read apart, a swap between the two reads would pair the old
+     * bundle with the new version.
+     */
+    Snapshot snapshot() const;
+
     /** Number of swaps performed (== version()). */
     std::uint64_t swaps() const { return version(); }
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/contracts.hh"
 #include "core/failpoint.hh"
 #include "serve/error.hh"
 
@@ -19,15 +18,14 @@ toBytes(const std::string &s)
 
 } // namespace
 
-Session::Session(ServeCore &serve_core, bool coalesce_frames,
-                 std::function<void()> on_ready)
-    : core(serve_core), coalesce(coalesce_frames),
-      onReady(std::move(on_ready))
+Session::Session(ServeCore &serve_core, bool coalesce_frames)
+    : core(serve_core), coalesce(coalesce_frames)
 {
 }
 
 Session::Verdict
-Session::consume(const std::uint8_t *data, std::size_t n)
+Session::consume(const std::uint8_t *data, std::size_t n,
+                 std::vector<net::Bytes> &writes)
 {
     if (mode == Mode::Detect) {
         if (n == 0)
@@ -36,24 +34,27 @@ Session::consume(const std::uint8_t *data, std::size_t n)
         // selects JSON lines, anything else must open a binary frame.
         mode = net::looksLikeJson(data[0]) ? Mode::Json : Mode::Binary;
     }
+    replies.clear();
+    requests.clear();
+    requestSlots.clear();
+    Verdict verdict = Verdict::Continue;
     if (mode == Mode::Json) {
         rxText.append(reinterpret_cast<const char *>(data), n);
-        return processJson();
+        verdict = processJson();
+    } else {
+        rx.insert(rx.end(), data, data + n);
+        verdict = processBinary();
     }
-    rx.insert(rx.end(), data, data + n);
-    return processBinary();
+    emit(writes);
+    return verdict;
 }
 
 Session::Verdict
 Session::processBinary()
 {
-    // Decode every complete frame currently buffered; consecutive
-    // requests coalesce into one micro-batch group. Replies are
-    // staged per frame, in arrival order — a request's outbox slot
-    // stays pending until its prediction resolves, and nothing
-    // staged after it can be emitted before it (collect()).
-    std::vector<numeric::Vector> requests;
-    std::vector<std::uint64_t> seqs;
+    // Decode every complete frame currently buffered. Replies take
+    // their slots in arrival order; a request's slot is filled once
+    // every request of this call has been answered together.
     bool close_after_flush = false;
 
     while (!close_after_flush) {
@@ -63,7 +64,7 @@ Session::processBinary()
         if (r.status == net::DecodeStatus::NeedMore)
             break;
         if (r.status == net::DecodeStatus::Malformed) {
-            stageDone(net::encodeError("serve.protocol", r.error));
+            replies.push_back(net::encodeError("serve.protocol", r.error));
             core.noteProtocolError();
             close_after_flush = true;
             break;
@@ -72,13 +73,11 @@ Session::processBinary()
                  rx.begin() + static_cast<std::ptrdiff_t>(r.consumed));
         switch (r.frame.type) {
         case net::FrameType::Request:
-            seqs.push_back(baseSeq + outbox.size());
-            outbox.emplace_back(); // pending reply slot
-            requests.push_back(std::move(r.frame.values));
+            queueRequest(std::move(r.frame.values));
             break;
         case net::FrameType::Ping:
             core.notePing();
-            stageDone(net::encodePong());
+            replies.push_back(net::encodePong());
             break;
         case net::FrameType::Observe:
             handleObserve(r.frame.values, r.frame.observed,
@@ -86,7 +85,7 @@ Session::processBinary()
             break;
         default:
             // Clients must not send server-side frame types.
-            stageDone(net::encodeError(
+            replies.push_back(net::encodeError(
                 "serve.protocol", "unexpected frame type from client"));
             core.noteFrameError();
             close_after_flush = true;
@@ -94,8 +93,7 @@ Session::processBinary()
         }
     }
 
-    if (!requests.empty())
-        submitRequests(requests, std::move(seqs), /*json=*/false);
+    answerRequests(/*json=*/false);
 
     return close_after_flush ? Verdict::CloseAfterFlush
                              : Verdict::Continue;
@@ -105,9 +103,7 @@ Session::Verdict
 Session::processJson()
 {
     // Cut every complete line out of the buffer, then answer the
-    // batch of lines together (same coalescing as binary mode).
-    std::vector<numeric::Vector> requests;
-    std::vector<std::uint64_t> seqs;
+    // requests among them together (same coalescing as binary mode).
     bool close_after_flush = false;
 
     std::size_t newline = rxText.find('\n');
@@ -126,26 +122,23 @@ Session::processJson()
             net::Frame frame = net::parseJsonLine(line);
             if (frame.type == net::FrameType::Ping) {
                 core.notePing();
-                stageDone(toBytes(net::formatJsonPong()));
+                replies.push_back(toBytes(net::formatJsonPong()));
             } else if (frame.type == net::FrameType::Observe) {
                 handleObserve(frame.values, frame.observed,
                               /*json=*/true);
             } else {
-                seqs.push_back(baseSeq + outbox.size());
-                outbox.emplace_back(); // pending reply slot
-                requests.push_back(std::move(frame.values));
+                queueRequest(std::move(frame.values));
             }
         } catch (const ProtocolError &error) {
             core.noteProtocolError();
-            stageDone(toBytes(net::formatJsonError(
+            replies.push_back(toBytes(net::formatJsonError(
                 error.kind(), bareErrorMessage(error))));
             close_after_flush = true;
         }
         newline = rxText.find('\n');
     }
 
-    if (!requests.empty())
-        submitRequests(requests, std::move(seqs), /*json=*/true);
+    answerRequests(/*json=*/true);
 
     return close_after_flush ? Verdict::CloseAfterFlush
                              : Verdict::Continue;
@@ -155,149 +148,76 @@ void
 Session::handleObserve(const numeric::Vector &x,
                        const numeric::Vector &y, bool json)
 {
-    // Observations are answered inline, in arrival order: the direct
-    // incumbent forward is synchronous and never enters the batcher,
-    // so the Ack (or typed validation error) stages immediately behind
-    // whatever predictions are still pending ahead of it.
+    // Observations are answered at decode, in arrival order: the
+    // Ack (or typed validation error) takes the slot behind the
+    // requests decoded ahead of it.
     try {
         core.observe(x, y);
-        stageDone(json ? toBytes(net::formatJsonAck())
-                       : net::encodeAck());
+        replies.push_back(json ? toBytes(net::formatJsonAck())
+                               : net::encodeAck());
     } catch (const wcnn::Error &error) {
         core.noteFrameError();
-        stageDone(json ? toBytes(net::formatJsonError(
-                             error.kind(), bareErrorMessage(error)))
-                       : net::encodeError(error.kind(),
-                                          bareErrorMessage(error)));
+        replies.push_back(
+            json ? toBytes(net::formatJsonError(error.kind(),
+                                                bareErrorMessage(error)))
+                 : net::encodeError(error.kind(),
+                                    bareErrorMessage(error)));
     }
 }
 
 void
-Session::stageDone(net::Bytes bytes)
+Session::queueRequest(numeric::Vector x)
 {
-    Entry entry;
-    entry.bytes = std::move(bytes);
-    entry.done = true;
-    outbox.push_back(std::move(entry));
-}
-
-Session::Entry &
-Session::entryAt(std::uint64_t seq)
-{
-    WCNN_REQUIRE(seq >= baseSeq &&
-                     seq - baseSeq < outbox.size(),
-                 "reply slot already emitted or never staged");
-    return outbox[static_cast<std::size_t>(seq - baseSeq)];
+    requestSlots.push_back(replies.size());
+    replies.emplace_back(); // filled by answerRequests()
+    requests.push_back(std::move(x));
 }
 
 void
-Session::fulfil(std::uint64_t seq, net::Bytes bytes)
+Session::answerRequests(bool json)
 {
-    Entry &entry = entryAt(seq);
-    entry.bytes = std::move(bytes);
-    entry.done = true;
-}
-
-void
-Session::submitRequests(const std::vector<numeric::Vector> &requests,
-                        std::vector<std::uint64_t> seqs, bool json)
-{
-    // Inline answers (validation failures, cache hits, admission
-    // rejections) land in their slots before this returns; misses
-    // come back later through finish().
-    const auto on_result = [this, &seqs,
-                            json](std::size_t i,
-                                  const numeric::Vector &y) {
-        fulfil(seqs[i], json ? toBytes(net::formatJsonResponse(y))
-                             : net::encodeResponse(y));
-    };
-    const auto on_error = [this, &seqs,
-                           json](std::size_t i,
-                                 const wcnn::Error &error) {
-        fulfil(seqs[i],
-               json ? toBytes(net::formatJsonError(
-                          error.kind(), bareErrorMessage(error)))
-                    : net::encodeError(error.kind(),
-                                       bareErrorMessage(error)));
-    };
-    std::vector<ServeCore::PendingGroup> groups =
-        core.answerRequestsAsync(requests, on_result, on_error,
-                                 onReady);
-    for (ServeCore::PendingGroup &group : groups) {
-        Pending p;
-        p.group = std::move(group);
-        p.seqs = seqs;
-        p.json = json;
-        pending.push_back(std::move(p));
-    }
-}
-
-void
-Session::finish(Pending &p)
-{
-    // Rebuild the slot-addressed callbacks: rows land in the outbox
-    // entries reserved at decode time, so arrival order is preserved
-    // no matter when (or in what order) groups resolve.
-    const std::vector<std::uint64_t> &seqs = p.seqs;
-    const bool json = p.json;
-    core.finishGroup(
-        p.group,
-        [this, &seqs, json](std::size_t i, const numeric::Vector &y) {
-            fulfil(seqs[i], json ? toBytes(net::formatJsonResponse(y))
-                                 : net::encodeResponse(y));
+    if (requests.empty())
+        return;
+    core.answer(
+        requests,
+        [this, json](std::size_t i, const numeric::Vector &y) {
+            replies[requestSlots[i]] =
+                json ? toBytes(net::formatJsonResponse(y))
+                     : net::encodeResponse(y);
         },
-        [this, &seqs, json](std::size_t i, const wcnn::Error &error) {
-            fulfil(seqs[i],
-                   json ? toBytes(net::formatJsonError(
-                              error.kind(), bareErrorMessage(error)))
-                        : net::encodeError(error.kind(),
-                                           bareErrorMessage(error)));
+        [this, json](std::size_t i, const wcnn::Error &error) {
+            replies[requestSlots[i]] =
+                json ? toBytes(net::formatJsonError(
+                           error.kind(), bareErrorMessage(error)))
+                     : net::encodeError(error.kind(),
+                                        bareErrorMessage(error));
         });
-}
-
-void
-Session::collect(bool block, std::vector<net::Bytes> &writes)
-{
-    // Resolve what has resolved (everything, when blocking). Groups
-    // resolve in dispatcher FIFO order, but nothing here relies on
-    // that: rows are slot-addressed.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (block || pending[i].group.ready()) {
-            finish(pending[i]);
-        } else {
-            if (kept != i)
-                pending[kept] = std::move(pending[i]);
-            ++kept;
-        }
-    }
-    pending.resize(kept);
-    emit(writes);
 }
 
 void
 Session::emit(std::vector<net::Bytes> &writes)
 {
-    if (coalesce) {
-        net::Bytes out;
-        while (!outbox.empty() && outbox.front().done) {
-            out.insert(out.end(), outbox.front().bytes.begin(),
-                       outbox.front().bytes.end());
-            outbox.pop_front();
-            ++baseSeq;
-        }
-        if (!out.empty())
-            writes.push_back(std::move(out));
-    } else {
+    if (replies.empty())
+        return;
+    if (!coalesce) {
         // Per-request baseline: one write(2) per reply frame, like a
         // server with no batching anywhere.
-        while (!outbox.empty() && outbox.front().done) {
-            if (!outbox.front().bytes.empty())
-                writes.push_back(std::move(outbox.front().bytes));
-            outbox.pop_front();
-            ++baseSeq;
-        }
+        for (net::Bytes &reply : replies)
+            writes.push_back(std::move(reply));
+        return;
     }
+    if (replies.size() == 1) {
+        writes.push_back(std::move(replies.front()));
+        return;
+    }
+    std::size_t total = 0;
+    for (const net::Bytes &reply : replies)
+        total += reply.size();
+    net::Bytes out;
+    out.reserve(total);
+    for (const net::Bytes &reply : replies)
+        out.insert(out.end(), reply.begin(), reply.end());
+    writes.push_back(std::move(out));
 }
 
 } // namespace serve

@@ -127,12 +127,12 @@ TEST_F(ChaosServeTest, PredictFaultAnswersTypedAndConnectionSurvives)
         net::ServeClient::connect(kHost, server->port());
     fp::armFromSpec("serve.predict=nth:2");
     // Distinct inputs: a repeated input would be a cache hit and
-    // never reach the batcher (and so never hit the failpoint).
+    // never reach a forward (and so never hit the failpoint).
     (void)client.predict({1.0, 0.0, 0.0}); // hit 1: clean
     EXPECT_THROW((void)client.predict({2.0, 0.0, 0.0}),
                  ServeError); // hit 2: fires
     // The error was typed, not a transport fault: the SAME connection
-    // keeps working, and so does the batcher.
+    // keeps working, and so does its shard's forward.
     const Vector probe{3.0, 0.0, 0.0};
     const Vector got = client.predict(probe);
     const Vector want = bundle->predict(probe);

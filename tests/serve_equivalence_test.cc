@@ -9,7 +9,7 @@
  * file: for each scripted client it answers the bytes the client
  * sent one frame (or JSON line) at a time, in arrival order, with
  * ModelBundle::predict and the protocol codec — no cache, no
- * micro-batcher, no Session, no ServeCore. The server's response
+ * forwards, no Session, no ServeCore. The server's response
  * stream must equal the model's BYTE FOR BYTE: binary framing and
  * JSON lines, pipelined bursts under different TCP fragmentations,
  * typed per-request errors, wire garbage, and connection-limit
@@ -17,10 +17,10 @@
  * a reordered, coalesced-wrong or recomputed reply cannot hide behind
  * a shared implementation.
  *
- * Where hard byte-identity would require fixing TCP segmentation or
- * timing itself (queue overload, hot swap under churn), the suite
- * pins the semantics instead: every request gets an in-order typed
- * outcome that is bit-exact under some deployed bundle.
+ * Where hard byte-identity would require fixing timing itself (hot
+ * swap under churn), the suite pins the semantics instead: every
+ * request gets an in-order outcome that is bit-exact under some
+ * deployed bundle.
  *
  * The scripted clients write raw protocol bytes, half-close, and
  * slurp the response stream to EOF — no client-library smarts hide a
@@ -33,6 +33,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -60,7 +61,6 @@ using wcnn::numeric::Vector;
 using wcnn::serve::BundlePtr;
 using wcnn::serve::EventServer;
 using wcnn::serve::ModelBundle;
-using wcnn::serve::Overloaded;
 using wcnn::serve::ProtocolError;
 using wcnn::serve::ServeOptions;
 
@@ -576,67 +576,161 @@ TEST(ServeEquivalenceTest, HotSwapUnderLoadIsIdenticalOnBothEngines)
     server.stop();
 }
 
-TEST(ServeEquivalenceTest, QueueOverloadKeepsOrderingSemantics)
+namespace {
+
+/** One JSON array of numbers, %.17g per element. */
+std::string
+jsonArray(const Vector &v)
 {
-    // Hard byte-identity here would require fixing TCP segmentation
-    // itself (which read chunk a request lands in decides its batch
-    // group). The pinned contract is the ordering SEMANTICS: every
-    // pipelined request gets an in-order outcome — a bit-exact
-    // response or a typed serve.overloaded error — and a queue this
-    // small must overload.
-    const BundlePtr bundle = makeBundle(7, std::size_t{1} << 18);
-    ServeOptions opts;
-    opts.cache.capacity = 0; // misses only: every request queues
-    opts.batch.maxQueueRows = 2;
-    opts.batch.maxBatch = 64;
+    std::string out = "[";
+    char buf[32];
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        std::snprintf(buf, sizeof(buf), "%.17g", v[i]);
+        out += i == 0 ? "" : ",";
+        out += buf;
+    }
+    return out + "]";
+}
 
-    Rng rng(55);
-    std::vector<Vector> xs;
-    for (int i = 0; i < 16; ++i)
-        xs.push_back({rng.uniform(-2, 2), rng.uniform(-2, 2),
-                      rng.uniform(-2, 2)});
+Vector
+randomVector(Rng &rng, std::size_t n)
+{
+    Vector v(n);
+    for (double &value : v)
+        value = rng.uniform(-2, 2);
+    return v;
+}
 
-    EventServer server(opts);
-    server.deploy(bundle);
-    server.start();
-
-    // Hold the dispatcher without a sleep: one request on another
-    // connection occupies it with the slow bundle's forward, and the
-    // burst is sent once the dispatcher has taken that request.
-    net::ServeClient holder =
-        net::ServeClient::connect(kHost, server.port(), 30000);
-    const Vector held{0.5, -0.5, 1.0};
-    holder.sendPredict(held);
-    while (server.batcherStats().batches == 0)
-        std::this_thread::yield();
-
-    net::ServeClient client =
-        net::ServeClient::connect(kHost, server.port(), 30000);
-    for (const Vector &x : xs)
-        client.sendPredict(x);
-
-    int overloaded = 0;
-    int exact = 0;
-    for (const Vector &x : xs) {
-        try {
-            const Vector got = client.readPrediction();
-            const Vector want = bundle->predict(x);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t j = 0; j < want.size(); ++j)
-                EXPECT_EQ(got[j], want[j]);
-            ++exact;
-        } catch (const Overloaded &) {
-            ++overloaded;
+/**
+ * A generated client program: 1–24 pipelined frames (binary) or lines
+ * (JSON) — fresh and repeated predicts, pings, observes, wrong-arity
+ * requests — optionally ended by a malformed frame or a torn tail.
+ * Repeats draw from `pool`, which every connection of one program
+ * shares, so the cache sees hits across connections too.
+ */
+ClientScript
+generateClient(Rng &rng, std::vector<Vector> &pool)
+{
+    const bool json = rng.uniform() < 0.5;
+    const auto frame = [json](const std::string &line,
+                              const net::Bytes &binary) {
+        return json ? fromString(line + "\n") : binary;
+    };
+    net::Bytes all;
+    const auto frames = static_cast<int>(rng.uniformInt(1, 24));
+    for (int f = 0; f < frames; ++f) {
+        const double pick = rng.uniform();
+        if (pick < 0.35 || (pick < 0.55 && pool.empty())) {
+            pool.push_back(randomVector(rng, 3));
+            append(all, frame("{\"op\":\"predict\",\"x\":" +
+                                  jsonArray(pool.back()) + "}",
+                              net::encodeRequest(pool.back())));
+        } else if (pick < 0.55) {
+            const Vector &x = pool[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(pool.size()) -
+                                      1))];
+            append(all, frame("{\"op\":\"predict\",\"x\":" +
+                                  jsonArray(x) + "}",
+                              net::encodeRequest(x)));
+        } else if (pick < 0.65) {
+            append(all, frame("{\"op\":\"ping\"}", net::encodePing()));
+        } else if (pick < 0.85) {
+            // Mostly well-formed observes, sometimes of the wrong
+            // input or output arity.
+            const std::size_t xn = rng.uniform() < 0.85 ? 3 : 2;
+            const std::size_t yn = rng.uniform() < 0.85 ? 2 : 1;
+            const Vector x = randomVector(rng, xn);
+            const Vector y = randomVector(rng, yn);
+            append(all, frame("{\"op\":\"observe\",\"x\":" + jsonArray(x) +
+                                  ",\"y\":" + jsonArray(y) + "}",
+                              net::encodeObserve(x, y)));
+        } else {
+            const Vector x = randomVector(
+                rng, rng.uniform() < 0.5 ? 2 : 4); // bundle expects 3
+            append(all, frame("{\"op\":\"predict\",\"x\":" +
+                                  jsonArray(x) + "}",
+                              net::encodeRequest(x)));
         }
     }
-    // Every request answered in order, and the 16-request burst
-    // cannot fit a 2-row queue: overload must have fired.
-    EXPECT_EQ(exact + overloaded, 16);
-    EXPECT_GE(overloaded, 1);
-    const Vector got = holder.readPrediction();
-    const Vector want = bundle->predict(held);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t j = 0; j < want.size(); ++j)
-        EXPECT_EQ(got[j], want[j]);
-    server.stop();
+
+    // The ending: nothing, a malformed frame, or a torn tail.
+    const double ending = rng.uniform();
+    net::Bytes malformed;
+    if (ending < 0.15) {
+        malformed = json ? fromString("{\"op\":\"teleport\"}\n")
+                         : (rng.uniform() < 0.5
+                                ? fromString("zz")
+                                : net::encodeResponse({1.0, 2.0}));
+    } else if (ending < 0.3) {
+        const net::Bytes whole =
+            frame("{\"op\":\"ping\"}", net::encodeRequest({1, 2, 3}));
+        const auto keep = static_cast<std::size_t>(rng.uniformInt(
+            1, static_cast<std::int64_t>(whole.size()) - 1));
+        if (json)
+            append(all, fromString("{\"op\":\"ping\"}")); // no newline
+        else
+            all.insert(all.end(), whole.begin(),
+                       whole.begin() + static_cast<std::ptrdiff_t>(keep));
+    }
+
+    // Split at random points. A malformed ending travels whole in the
+    // last write: the server closes on it, and bytes still in flight
+    // behind it would reset the connection before the client read
+    // its replies.
+    ClientScript script;
+    std::vector<std::size_t> cuts;
+    const auto ncuts = rng.uniformInt(0, 5);
+    for (std::int64_t c = 0; c < ncuts && all.size() > 1; ++c)
+        cuts.push_back(static_cast<std::size_t>(rng.uniformInt(
+            1, static_cast<std::int64_t>(all.size()) - 1)));
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    std::size_t from = 0;
+    for (const std::size_t cut : cuts) {
+        script.chunks.emplace_back(
+            all.begin() + static_cast<std::ptrdiff_t>(from),
+            all.begin() + static_cast<std::ptrdiff_t>(cut));
+        from = cut;
+    }
+    script.chunks.emplace_back(
+        all.begin() + static_cast<std::ptrdiff_t>(from), all.end());
+    if (!malformed.empty())
+        script.chunks.push_back(malformed);
+    script.interChunkDelayMs = rng.uniform() < 0.2 ? 1 : 0;
+    return script;
+}
+
+} // namespace
+
+TEST(ServeEquivalenceTest, GeneratedProgramsMatchTheModel)
+{
+    // Seeded programs over 1–4 connections, each seed on its own
+    // server configuration; every stream must equal the sequential
+    // reply model byte for byte.
+    const BundlePtr bundle = makeBundle();
+    constexpr std::uint64_t kSeeds = 240;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        Rng rng(seed);
+        ServeOptions opts;
+        opts.cache.capacity = rng.uniform() < 0.5 ? 0 : 64;
+        opts.coalesceFrames = rng.uniform() < 0.5;
+        opts.maxBatch = rng.uniform() < 0.5 ? 1 : 64;
+
+        std::vector<Vector> pool;
+        std::vector<ClientScript> scripts;
+        const auto clients = rng.uniformInt(1, 4);
+        for (std::int64_t c = 0; c < clients; ++c)
+            scripts.push_back(generateClient(rng, pool));
+
+        const std::vector<net::Bytes> streams =
+            runScripts(opts, bundle, scripts);
+        expectStreamsMatchModel(*bundle, scripts, streams);
+        if (HasFailure()) {
+            ADD_FAILURE() << "generated program seed " << seed
+                          << " (cache " << opts.cache.capacity
+                          << ", coalesceFrames " << opts.coalesceFrames
+                          << ", maxBatch " << opts.maxBatch << ")";
+            return;
+        }
+    }
 }

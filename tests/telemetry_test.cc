@@ -420,10 +420,27 @@ TEST_F(TelemetryTest, SummaryTableAggregatesSpans)
     for (int i = 0; i < 3; ++i)
         telemetry::SpanScope span("summary.span");
     telemetry::counter("summary.ctr").add(7);
+    // Top bucket 2^35: mean and max bucket both print 13 characters,
+    // one more than the max-bucket column holds.
+    telemetry::histogram("summary.hist").record(std::uint64_t{1} << 34);
     const std::string table = telemetry::summaryTable();
     EXPECT_NE(table.find("summary.span"), std::string::npos);
     EXPECT_NE(table.find("summary.ctr"), std::string::npos);
     EXPECT_NE(table.find("3"), std::string::npos);
+
+    // The histogram row splits into name, count, mean, max bucket and
+    // its exponent.
+    const std::size_t at = table.find("summary.hist");
+    ASSERT_NE(at, std::string::npos);
+    std::istringstream row(table.substr(at, table.find('\n', at) - at));
+    std::vector<std::string> fields;
+    for (std::string field; row >> field;)
+        fields.push_back(field);
+    ASSERT_EQ(fields.size(), 5u) << table;
+    EXPECT_EQ(fields[1], "1");
+    EXPECT_EQ(fields[2], "17179869184.0");
+    EXPECT_EQ(fields[3], "34359738368.0");
+    EXPECT_EQ(fields[4], "<2^35");
 }
 
 TEST_F(TelemetryTest, TimedSecondsReturnsDurationAndEmitsSpan)

@@ -552,8 +552,8 @@ serveOptionsFromArgs(const Args &args)
         args.num("max-conn", static_cast<double>(opts.maxConnections)));
     opts.idleTimeoutMs = static_cast<int>(
         args.num("idle-ms", opts.idleTimeoutMs));
-    opts.batch.maxBatch = static_cast<std::size_t>(args.num(
-        "max-batch", static_cast<double>(opts.batch.maxBatch)));
+    opts.maxBatch = static_cast<std::size_t>(args.num(
+        "max-batch", static_cast<double>(opts.maxBatch)));
     opts.cache.capacity = static_cast<std::size_t>(args.num(
         "cache", static_cast<double>(opts.cache.capacity)));
     return opts;
@@ -602,9 +602,10 @@ cmdServe(const Args &args)
             "lines on one port)\n"
             "from an epoll reactor with one event loop per core "
             "(at most 8).\n"
-            "Cache misses are batched with whatever else is queued, "
-            "up to --max-batch\n"
-            "rows; the batcher never waits for a batch to fill.\n"
+            "Each event loop answers what it reads: cache misses of "
+            "one read run\n"
+            "together as forwards of at most --max-batch rows, on "
+            "that loop's thread.\n"
             "--lifecycle attaches the model-lifecycle controller to "
             "the observation\n"
             "stream: drift detection, shadow retraining and gated "
@@ -655,11 +656,10 @@ cmdServe(const Args &args)
             [&ctl, jw](const numeric::Vector &x,
                        const numeric::Vector &predicted,
                        const numeric::Vector &observed) {
-                lifecycle::ObservationRecord rec{0, x, predicted,
-                                                 observed};
                 if (jw != nullptr)
-                    jw->append(rec);
-                ctl.record(rec);
+                    jw->append(lifecycle::ObservationRecord{
+                        0, x, predicted, observed});
+                ctl.record(x, predicted, observed);
             });
     }
 
@@ -667,7 +667,7 @@ cmdServe(const Args &args)
     std::printf("serving %s on %s:%u (max-batch %zu, cache %zu)\n",
                 bundle->describe().c_str(),
                 server.options().host.c_str(), server.port(),
-                server.options().batch.maxBatch,
+                server.options().maxBatch,
                 server.options().cache.capacity);
     std::fflush(stdout);
 
@@ -696,7 +696,6 @@ cmdServe(const Args &args)
     server.stop();
 
     const auto stats = server.stats();
-    const auto batch = server.batcherStats();
     const auto cache = server.cacheStats();
     std::printf("served %llu requests (%llu errors) over %llu "
                 "connections; %llu batches, max batch %zu rows; "
@@ -704,8 +703,8 @@ cmdServe(const Args &args)
                 static_cast<unsigned long long>(stats.requests),
                 static_cast<unsigned long long>(stats.errors),
                 static_cast<unsigned long long>(stats.accepted),
-                static_cast<unsigned long long>(batch.batches),
-                batch.maxBatchRows, cache.hitRatio());
+                static_cast<unsigned long long>(stats.batches),
+                stats.maxBatchRows, cache.hitRatio());
     if (controller != nullptr) {
         const lifecycle::LifecycleStats ls = controller->stats();
         std::printf("lifecycle: %llu records, %llu drifts, %llu "
@@ -763,7 +762,7 @@ cmdBenchServe(const Args &args)
                          std::size_t key_pool) {
         serve::ServeOptions opts;
         opts.maxConnections = load.clients + 4;
-        opts.batch.maxBatch = batch_rows;
+        opts.maxBatch = batch_rows;
         opts.coalesceFrames = coalesce;
         opts.cache.capacity = cache_cap;
         serve::EventServer server(std::move(opts));
