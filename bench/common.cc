@@ -1,5 +1,6 @@
 #include "common.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -170,6 +171,13 @@ appendJsonRecord(const std::string &path, const std::string &record)
             body.pop_back();
         out << body << ",\n" << record << "\n]\n";
     }
+}
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
 }
 
 } // namespace bench

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "model/classify.hh"
 #include "model/study.hh"
@@ -84,6 +85,9 @@ void printHeader(const std::string &title);
  * @param record One JSON object, as text.
  */
 void appendJsonRecord(const std::string &path, const std::string &record);
+
+/** Median of a non-empty sample (the upper one of an even count). */
+double median(std::vector<double> values);
 
 } // namespace bench
 } // namespace wcnn

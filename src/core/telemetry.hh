@@ -81,6 +81,14 @@ constexpr std::size_t kHistogramBuckets = 65;
  */
 std::int64_t nowNs();
 
+/**
+ * CPU time the calling thread has run, in nanoseconds
+ * (CLOCK_THREAD_CPUTIME_ID). Unlike nowNs(), it does not advance while
+ * the thread waits for a CPU, so a bench comparing two short loops on
+ * a shared host is not charged for the other tenants' work.
+ */
+std::int64_t threadCpuNs();
+
 namespace detail {
 
 /** Macro gate; read through enabled(). */
