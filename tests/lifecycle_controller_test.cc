@@ -3,9 +3,10 @@
  * The lifecycle state machine end to end: a drifting stream promotes
  * a retrained candidate, a transient blip is rejected at the gate,
  * rollback() restores the displaced incumbent, a huge shadow window
- * costs no memory up front, and the promoted registry stays
- * consistent under concurrent predict traffic (the suite the TSan
- * preset exercises).
+ * costs no memory up front, shadowed records reach the retrain window
+ * when their shadow ends, and the promoted registry stays consistent
+ * under concurrent predict traffic (the suite the TSan preset
+ * exercises).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "lifecycle/controller.hh"
 #include "lifecycle/host.hh"
 #include "lifecycle/replay.hh"
+#include "lifecycle/retrain.hh"
 #include "lifecycle_test_util.hh"
 #include "serve/registry.hh"
 
@@ -180,6 +182,51 @@ TEST(LifecycleController, HugeShadowWindowKeepsRecording)
     EXPECT_EQ(stats.drifts, 1u);
     EXPECT_EQ(stats.promotions + stats.rejections, 0u);
     EXPECT_EQ(registry.active().get(), incumbent.get());
+}
+
+TEST(LifecycleController, ShadowedRecordsReachTheRetrainWindow)
+{
+    // A shadow longer than the retrain window hands its newest records
+    // to the window when it ends, so the next retrain trains on the
+    // newest retrainWindow records, shadowed ones included. Oracle: a
+    // candidate retrained directly on those records must score the
+    // second gate's candidate error bit for bit.
+    const auto incumbent = makeIncumbent();
+    serve::BundleRegistry registry;
+    registry.swap(incumbent);
+    lifecycle::RegistryHost host(registry);
+    lifecycle::LifecycleOptions opts = testOptions();
+    opts.drift.window = 4;
+    opts.drift.patience = 1;
+    opts.retrainWindow = 12;
+    opts.shadowWindow = 20;
+    LifecycleController controller(host, opts);
+
+    // Drift at seq 11, shadow seq 12..31; drift again at seq 35 (its
+    // window holds seq 24..35), shadow seq 36..55.
+    lifecycle::Journal journal;
+    numeric::Rng rng(23);
+    appendSegment(journal, *incumbent, rng, 8, Truth::Base);
+    appendSegment(journal, *incumbent, rng, 48, Truth::Drifted);
+    feedAll(controller, journal);
+
+    const std::vector<Decision> decisions = controller.decisions();
+    ASSERT_EQ(decisions.size(), 4u);
+    EXPECT_EQ(decisions[2].event, "drift");
+    EXPECT_EQ(decisions[2].seq, 35u);
+    EXPECT_EQ(decisions[3].seq, 55u);
+
+    const std::vector<lifecycle::ObservationRecord> window(
+        journal.records.begin() + 24, journal.records.begin() + 36);
+    const serve::BundlePtr oracle = lifecycle::retrainCandidate(
+        window, incumbent->inputNames(), incumbent->outputNames(),
+        opts.retrain, 1);
+    double sum = 0.0;
+    for (std::size_t i = 36; i < 56; ++i)
+        sum += lifecycle::relativeError(
+            oracle->predict(journal.records[i].x),
+            journal.records[i].observed);
+    EXPECT_EQ(decisions[3].candidateError, sum / 20.0);
 }
 
 TEST(LifecycleController, HistoryIsBounded)
