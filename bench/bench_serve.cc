@@ -4,7 +4,7 @@
  * micro-batching + prediction cache, at a fixed concurrent load.
  *
  * Three servers are measured with the same deterministic load shape
- * (serve::runTcpLoad, seeded per client):
+ * (runLoad below, seeded per client):
  *
  *  1. "per-request"   — coalesceFrames off, maxBatch 1, cache off: a
  *                       server with no batching anywhere in its path.
@@ -30,18 +30,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hh"
+#include "core/failpoint.hh"
 #include "core/parallel.hh"
+#include "core/telemetry.hh"
 #include "data/standardizer.hh"
 #include "nn/mlp.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
 #include "serve/event_server.hh"
-#include "serve/loadgen.hh"
+#include "serve/net/client.hh"
 
 using wcnn::data::Standardizer;
 using wcnn::nn::Activation;
@@ -51,10 +55,10 @@ using wcnn::nn::Mlp;
 using wcnn::numeric::Rng;
 using wcnn::serve::BundlePtr;
 using wcnn::serve::EventServer;
-using wcnn::serve::LoadgenOptions;
-using wcnn::serve::LoadgenReport;
 using wcnn::serve::ModelBundle;
 using wcnn::serve::ServeOptions;
+using wcnn::serve::net::FrameType;
+using wcnn::serve::net::ServeClient;
 
 namespace {
 
@@ -62,6 +66,157 @@ constexpr std::size_t kInputDim = 4;
 
 /** Runs per mode; a record reports their median. */
 constexpr std::size_t kTrials = 9;
+
+/** Load shape of one run. */
+struct Load
+{
+    std::size_t clients = 8;
+    std::size_t requestsPerClient = 800;
+    /** Requests in flight per client before its replies are read. */
+    std::size_t pipeline = 64;
+    /** Client c draws its inputs from Rng::stream(seed, c). */
+    std::uint64_t seed = 42;
+    /** 0: fresh inputs (cache-cold); n: a per-client pool of n. */
+    std::size_t keyPoolSize = 0;
+};
+
+/** One run: error replies (or requests lost to a dead connection),
+ *  throughput, and window round-trip percentiles. */
+struct Report
+{
+    std::size_t requests = 0;
+    std::size_t errors = 0;
+    double throughputRps = 0.0;
+    double p50Us = 0.0;
+    double p99Us = 0.0;
+};
+
+double
+percentile(const std::vector<double> &sorted, double p)
+{
+    if (sorted.empty())
+        return 0.0;
+    const double rank = p * static_cast<double>(sorted.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+wcnn::numeric::Vector
+draw(Rng &rng)
+{
+    wcnn::numeric::Vector x(kInputDim);
+    for (double &v : x)
+        v = rng.uniform(0.0, 1.0);
+    return x;
+}
+
+/**
+ * Closed-loop load against 127.0.0.1:port. min(clients, 8) worker
+ * threads each own the clients with index congruent to theirs and put
+ * a window on every one of them before reading any reply, so 64
+ * clients are 64 connections with 64 windows in flight, not 64
+ * threads contending with the server for a few cores. A reply that is
+ * not a prediction (an error frame) counts one error and the
+ * connection goes on; a client that cannot connect, or loses its
+ * connection, counts every request it got no reply to as an error.
+ */
+Report
+runLoad(std::uint16_t port, const Load &load)
+{
+    using wcnn::core::telemetry::nowNs;
+    const std::size_t n_threads = std::min<std::size_t>(load.clients, 8);
+    std::vector<std::vector<double>> latencies(n_threads);
+    std::vector<std::size_t> errors(n_threads, 0);
+    const std::int64_t start_ns = nowNs();
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < n_threads; ++t)
+        workers.emplace_back([&, t] {
+            struct Client
+            {
+                Rng rng;
+                std::vector<wcnn::numeric::Vector> pool;
+                std::optional<ServeClient> conn;
+                std::size_t answered = 0;
+                std::int64_t t0 = 0;
+            };
+            std::vector<Client> mine;
+            for (std::size_t c = t; c < load.clients; c += n_threads) {
+                Client client;
+                client.rng = Rng::stream(load.seed, c);
+                for (std::size_t k = 0; k < load.keyPoolSize; ++k)
+                    client.pool.push_back(draw(client.rng));
+                try {
+                    client.conn.emplace(
+                        ServeClient::connect("127.0.0.1", port));
+                } catch (const wcnn::Error &) {
+                    // No connection: its quota counts as errors below.
+                }
+                mine.push_back(std::move(client));
+            }
+            const auto next_input = [](Client &client) {
+                if (client.pool.empty())
+                    return draw(client.rng);
+                const std::int64_t k = client.rng.uniformInt(
+                    0, static_cast<std::int64_t>(client.pool.size()) - 1);
+                return client.pool[static_cast<std::size_t>(k)];
+            };
+            for (std::size_t done = 0; done < load.requestsPerClient;
+                 done += load.pipeline) {
+                const std::size_t window = std::min(
+                    load.pipeline, load.requestsPerClient - done);
+                for (Client &client : mine) {
+                    client.t0 = nowNs();
+                    try {
+                        for (std::size_t w = 0; client.conn && w < window;
+                             ++w)
+                            client.conn->sendPredict(next_input(client));
+                    } catch (const wcnn::Error &) {
+                        client.conn.reset();
+                    }
+                }
+                for (Client &client : mine) {
+                    try {
+                        for (std::size_t w = 0; client.conn && w < window;
+                             ++w) {
+                            if (client.conn->readFrame().type !=
+                                FrameType::Response)
+                                ++errors[t];
+                            ++client.answered;
+                        }
+                    } catch (const wcnn::Error &) {
+                        client.conn.reset();
+                    }
+                    if (client.conn)
+                        latencies[t].insert(
+                            latencies[t].end(), window,
+                            static_cast<double>(nowNs() - client.t0) /
+                                1000.0);
+                }
+            }
+            for (const Client &client : mine)
+                errors[t] += load.requestsPerClient - client.answered;
+        });
+    for (std::thread &worker : workers)
+        worker.join();
+    const double seconds = static_cast<double>(nowNs() - start_ns) / 1e9;
+
+    Report report;
+    report.requests = load.clients * load.requestsPerClient;
+    std::vector<double> all;
+    for (std::size_t t = 0; t < n_threads; ++t) {
+        report.errors += errors[t];
+        all.insert(all.end(), latencies[t].begin(), latencies[t].end());
+    }
+    report.throughputRps =
+        seconds > 0.0 ? static_cast<double>(report.requests) / seconds
+                      : 0.0;
+    std::sort(all.begin(), all.end());
+    report.p50Us = percentile(all, 0.50);
+    report.p99Us = percentile(all, 0.99);
+    return report;
+}
 
 BundlePtr
 makeBundle()
@@ -80,13 +235,13 @@ makeBundle()
 }
 
 /** The median trial: field-wise medians, errors summed. */
-LoadgenReport
-medianReport(const std::vector<LoadgenReport> &trials)
+Report
+medianReport(const std::vector<Report> &trials)
 {
     std::vector<double> rps, p50, p99;
-    LoadgenReport out = trials.front();
+    Report out = trials.front();
     out.errors = 0;
-    for (const LoadgenReport &r : trials) {
+    for (const Report &r : trials) {
         rps.push_back(r.throughputRps);
         p50.push_back(r.p50Us);
         p99.push_back(r.p99Us);
@@ -101,8 +256,8 @@ medianReport(const std::vector<LoadgenReport> &trials)
 /** Median over trials of a mode's throughput over the per-request
  *  trial run beside it. */
 double
-medianSpeedup(const std::vector<LoadgenReport> &mode,
-              const std::vector<LoadgenReport> &per_request)
+medianSpeedup(const std::vector<Report> &mode,
+              const std::vector<Report> &per_request)
 {
     std::vector<double> ratios;
     for (std::size_t t = 0; t < mode.size(); ++t)
@@ -115,8 +270,8 @@ medianSpeedup(const std::vector<LoadgenReport> &mode,
 
 /** Append one mode's record to BENCH_serve.json (valid JSON array). */
 void
-appendServeRecord(const std::string &mode, const LoadgenOptions &load,
-                  const LoadgenReport &report, double speedup)
+appendServeRecord(const std::string &mode, const Load &load,
+                  const Report &report, double speedup)
 {
     std::ostringstream record;
     record << "  {\"bench\": \"bench_serve\", \"mode\": \"" << mode
@@ -139,8 +294,8 @@ appendServeRecord(const std::string &mode, const LoadgenOptions &load,
                 report.p99Us, report.errors, speedup);
 }
 
-LoadgenReport
-runMode(ServeOptions opts, const LoadgenOptions &load)
+Report
+runMode(ServeOptions opts, const Load &load)
 {
     // High client counts must not trip admission control or the SYN
     // backlog: the bench measures serving throughput, not the
@@ -152,8 +307,7 @@ runMode(ServeOptions opts, const LoadgenOptions &load)
     EventServer server(std::move(opts));
     server.deploy(makeBundle());
     server.start();
-    const LoadgenReport report = wcnn::serve::runTcpLoad(
-        "127.0.0.1", server.port(), kInputDim, load);
+    const Report report = runLoad(server.port(), load);
     server.stop();
     return report;
 }
@@ -173,11 +327,22 @@ argValue(int argc, char **argv, const char *flag, std::size_t fallback)
 int
 main(int argc, char **argv)
 {
-    LoadgenOptions load;
-    load.clients = argValue(argc, argv, "--clients", 8);
-    load.requestsPerClient = argValue(argc, argv, "--requests", 800);
-    load.pipeline = argValue(argc, argv, "--pipeline", 64);
-    load.seed = argValue(argc, argv, "--seed", 42);
+    auto recorder =
+        wcnn::core::telemetry::Recorder::fromArgs(argc, argv);
+    // Chaos drills: `--failpoints "site=nth:2"` or WCNN_FAILPOINTS.
+    wcnn::core::failpoint::installFromArgs(argc, argv);
+    Load load;
+    load.clients = argValue(argc, argv, "--clients", load.clients);
+    load.requestsPerClient =
+        argValue(argc, argv, "--requests", load.requestsPerClient);
+    load.pipeline = argValue(argc, argv, "--pipeline", load.pipeline);
+    load.seed = argValue(argc, argv, "--seed", load.seed);
+    if (load.clients == 0 || load.clients > 1024 || load.pipeline == 0) {
+        std::fputs("bench_serve: --clients must be in [1, 1024] and "
+                   "--pipeline at least 1\n",
+                   stderr);
+        return 2;
+    }
 
     std::printf("bench_serve: %zu clients x %zu requests, pipeline %zu\n",
                 load.clients, load.requestsPerClient, load.pipeline);
@@ -191,10 +356,10 @@ main(int argc, char **argv)
     batched.cache.capacity = 0;
     ServeOptions cached = batched;
     cached.cache.capacity = 4096;
-    LoadgenOptions warm = load;
+    Load warm = load;
     warm.keyPoolSize = 32; // small pool: mostly cache hits
 
-    std::vector<LoadgenReport> per_request, micro, hit;
+    std::vector<Report> per_request, micro, hit;
     for (std::size_t t = 0; t < kTrials; ++t) {
         // Alternate which side of the pair runs first, so a host
         // slowing down or speeding up over the run favours neither.

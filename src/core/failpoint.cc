@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "digest.hh"
 #include "error.hh"
 
 namespace wcnn {
@@ -47,18 +48,6 @@ mix64(std::uint64_t z)
     return z ^ (z >> 31);
 }
 
-/** FNV-1a over the site name, for seeding the probability stream. */
-std::uint64_t
-hashName(const std::string &site)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : site) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 /**
  * Pure fire decision for probability mode: hash (seed, site, hit) to
  * a uniform double in [0, 1) and compare against p. Independent of
@@ -68,7 +57,9 @@ bool
 probabilityFires(const Trigger &trigger, const std::string &site,
                  std::uint64_t hit)
 {
-    std::uint64_t word = mix64(mix64(trigger.seed ^ hashName(site)) + hit);
+    // The standard basis: a logged chaos seed replays its schedule.
+    std::uint64_t word = mix64(
+        mix64(trigger.seed ^ fnv1a64(site, kFnvStandardBasis)) + hit);
     double u = static_cast<double>(word >> 11) * 0x1.0p-53;
     return u < trigger.probability;
 }

@@ -1,14 +1,13 @@
 #include "csv.hh"
 
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include "core/digest.hh"
 #include "core/failpoint.hh"
 
 namespace wcnn {
@@ -84,16 +83,9 @@ csvDigest(const Dataset &ds)
 {
     std::ostringstream text;
     writeCsv(ds, text);
-    // FNV-1a 64.
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char c : text.str()) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return hex;
+    // The legacy basis: every committed dataset digest was taken from
+    // it (core/digest.hh).
+    return core::hex64(core::fnv1a64(text.str(), core::kFnvLegacyBasis));
 }
 
 void

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/contracts.hh"
+#include "core/digest.hh"
 #include "core/failpoint.hh"
 #include "core/telemetry.hh"
 #include "lifecycle/error.hh"
@@ -14,28 +15,6 @@ namespace wcnn {
 namespace lifecycle {
 
 namespace {
-
-/** Same FNV-1a 64 the CSV/scenario goldens use. */
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &bytes)
-{
-    for (const char c : bytes) {
-        hash ^= static_cast<std::uint8_t>(c);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-
-std::string
-hexDigest(std::uint64_t hash)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
 
 std::string
 formatDouble(double v)
@@ -87,10 +66,12 @@ formatDecision(const Decision &decision)
 std::string
 decisionDigest(const std::vector<Decision> &decisions)
 {
-    std::uint64_t hash = kFnvBasis;
+    // The legacy basis, as the CSV digests: the committed decision
+    // and bundle digests were taken from it (core/digest.hh).
+    std::uint64_t hash = core::kFnvLegacyBasis;
     for (const Decision &decision : decisions)
-        hash = fnv1a(hash, formatDecision(decision));
-    return hexDigest(hash);
+        hash = core::fnv1a64(formatDecision(decision), hash);
+    return core::hex64(hash);
 }
 
 std::string
@@ -98,7 +79,7 @@ bundleDigest(const serve::ModelBundle &bundle)
 {
     std::ostringstream os;
     bundle.save(os);
-    return hexDigest(fnv1a(kFnvBasis, os.str()));
+    return core::hex64(core::fnv1a64(os.str(), core::kFnvLegacyBasis));
 }
 
 LifecycleController::LifecycleController(BundleHost &bundle_host,

@@ -59,8 +59,8 @@ struct ServeOptions
      * together: their cache misses as shared forwards and their
      * replies as one write. False forces one forward per request and
      * one write(2) per response — a server with no batching anywhere
-     * in its path, the honest per-request baseline `wcnn bench-serve`
-     * and bench_serve compare micro-batching against.
+     * in its path, the honest per-request baseline bench_serve
+     * compares micro-batching against.
      */
     bool coalesceFrames = true;
 

@@ -150,6 +150,20 @@ TEST_F(FailpointTest, ProbabilityIsDeterministicPerSeedAndHit)
     EXPECT_NE(a, c); // 64 draws at p=0.3: distinct seeds diverge
 }
 
+TEST_F(FailpointTest, SeededProbabilityKeepsItsPinnedSchedule)
+{
+    // A nightly chaos run is replayed from its logged seed, so the
+    // schedule of a (site, seed) pair must never move. Hashing the
+    // site from the legacy FNV basis would give
+    // 1000000001000100000001000100001010101010110011100000110001000111.
+    fp::armFromSpec("unit.pinned=prob:0.3:2006");
+    std::string fired;
+    for (int i = 0; i < 64; ++i)
+        fired += fp::shouldFire("unit.pinned") ? '1' : '0';
+    EXPECT_EQ(fired, "0100011000001000100001000000111011000100001011000"
+                     "000000000011000");
+}
+
 TEST_F(FailpointTest, ProbabilityRateIsRoughlyHonored)
 {
     REQUIRE_TU_FAILPOINTS();

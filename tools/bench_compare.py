@@ -10,6 +10,9 @@ floor is not met (2 on unreadable input):
                                   baseline of the same run
   scaling   BENCH_serve.json      micro-batched throughput at 64 clients
                                   is at least 0.9x the 8-client record
+
+Both serving checks also fail when a record they read counts error
+replies: throughput of a server answering errors measures nothing.
   lifecycle BENCH_lifecycle.json  every drift latency lies in
                                   (0, window * patience] records, and
                                   the last shadow overhead is within
@@ -42,9 +45,18 @@ def latest(records, what, **match):
     return rows[-1]
 
 
+def serve_record(records, mode, clients):
+    r = latest(records, f"{mode} {clients}-client", mode=mode,
+               clients=clients)
+    if r["errors"] > 0:
+        raise CheckFailed(f"{mode} {clients}-client record counts "
+                          f"{r['errors']} error replies")
+    return r
+
+
 def check_batching(records):
-    micro = latest(records, f"micro-batched {BATCHING_CLIENTS}-client",
-                   mode="micro-batched", clients=BATCHING_CLIENTS)
+    serve_record(records, "per-request", BATCHING_CLIENTS)
+    micro = serve_record(records, "micro-batched", BATCHING_CLIENTS)
     speedup = micro["speedup_vs_per_request"]
     print(f"micro-batching speedup at {BATCHING_CLIENTS} clients: "
           f"{speedup:.2f}x (floor {BATCHING_FLOOR}x)")
@@ -53,12 +65,10 @@ def check_batching(records):
 
 
 def check_scaling(records):
-    at8 = latest(records, f"micro-batched {BATCHING_CLIENTS}-client",
-                 mode="micro-batched",
-                 clients=BATCHING_CLIENTS)["throughput_rps"]
-    at64 = latest(records, f"micro-batched {SCALING_CLIENTS}-client",
-                  mode="micro-batched",
-                  clients=SCALING_CLIENTS)["throughput_rps"]
+    at8 = serve_record(records, "micro-batched",
+                       BATCHING_CLIENTS)["throughput_rps"]
+    at64 = serve_record(records, "micro-batched",
+                        SCALING_CLIENTS)["throughput_rps"]
     print(f"{BATCHING_CLIENTS} clients: {at8:.0f} req/s, "
           f"{SCALING_CLIENTS} clients: {at64:.0f} req/s "
           f"(floor {SCALING_FLOOR}x)")

@@ -17,6 +17,8 @@ set(cases
     scaling:serve_slow_batching:0
     batching:serve_poor_scaling:0
     scaling:serve_poor_scaling:1
+    batching:serve_errors:1
+    scaling:serve_errors:1
     lifecycle:lifecycle_ok:0
     lifecycle:lifecycle_late_drift:1
     lifecycle:lifecycle_tripped:1

@@ -5,7 +5,7 @@ file(REMOVE_RECURSE ${work})
 file(MAKE_DIRECTORY ${work})
 
 function(run)
-    execute_process(COMMAND ${ARGV} WORKING_DIRECTORY ${work}
+    execute_process(COMMAND ${ARGV} WORKING_DIRECTORY ${work} TIMEOUT 300
                     RESULT_VARIABLE rc OUTPUT_VARIABLE out
                     ERROR_VARIABLE err)
     if(NOT rc EQUAL 0)
@@ -37,7 +37,22 @@ if(NOT stream_lines EQUAL 2)
             "${stream_out}")
 endif()
 
-# Serving smoke: a bundle-loading server answers and drains cleanly.
-run(${WCNN} bench-serve --model m.nn --clients 2 --requests 20
-    --pipeline 4 --max-batch 16)
+# Serving smoke: the shipped server answers every JSON-lines request
+# with the reply `predict --stdin` implies, and drains cleanly.
+find_program(WCNN_PYTHON NAMES python3 python REQUIRED)
+run(${WCNN_PYTHON} ${CMAKE_CURRENT_LIST_DIR}/serve_smoke.py ${WCNN} m.nn)
+
+# Out-of-range serving flags are usage errors (exit 2), not wrapped.
+file(WRITE ${work}/empty.txt "")
+foreach(flag "--port;70000" "--max-batch;0")
+    execute_process(COMMAND ${WCNN} serve --model m.nn ${flag}
+                    INPUT_FILE ${work}/empty.txt
+                    WORKING_DIRECTORY ${work} TIMEOUT 30
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR
+                "serve ${flag}: exit ${rc}, want 2\n${out}\n${err}")
+    endif()
+endforeach()
 message(STATUS "cli pipeline OK")

@@ -12,11 +12,14 @@
  *   wcnn surface   --model m.bundle --indicator 1  slice + taxonomy
  *   wcnn recommend --model m.bundle --data s.csv   top configurations
  *   wcnn serve     --model m.bundle --port 7071    inference server
- *   wcnn bench-serve --model m.bundle              serving benchmark
+ *   wcnn scenario  --list                          workload scenarios
+ *   wcnn lifecycle replay --journal j --model m.bundle   offline replay
  *
  * fit writes a ModelBundle artifact (network + standardizers +
  * schema); predict/surface/recommend/serve all load it through
  * ModelBundle::load, which accepts only that format.
+ * tools/serve_smoke.py runs `wcnn serve` end to end and checks each
+ * reply against `wcnn predict --stdin`.
  *
  * Every subcommand prints --help with its flags.
  */
@@ -31,9 +34,11 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/error.hh"
@@ -54,7 +59,6 @@
 #include "scenario/library.hh"
 #include "serve/bundle.hh"
 #include "serve/event_server.hh"
-#include "serve/loadgen.hh"
 #include "sim/sample_space.hh"
 
 namespace {
@@ -542,20 +546,37 @@ cmdRecommend(const Args &args)
     return 0;
 }
 
-serve::ServeOptions
+/**
+ * Serving options from the flags, or nothing, after a usage line
+ * naming the flag, when a count is out of range. A bare cast would
+ * wrap `--port 70000` to 4464 and `--max-batch -1` to 2^64 - 1.
+ */
+std::optional<serve::ServeOptions>
 serveOptionsFromArgs(const Args &args)
 {
     serve::ServeOptions opts;
+    const auto whole = [&args](const char *key, auto &out, double lo,
+                               double hi) {
+        const double v = args.num(key, static_cast<double>(out));
+        if (!(v >= lo && v <= hi && v == std::floor(v))) {
+            std::fprintf(stderr,
+                         "serve: --%s must be a whole number in "
+                         "[%.0f, %.0f]\n",
+                         key, lo, hi);
+            return false;
+        }
+        out = static_cast<std::remove_reference_t<decltype(out)>>(v);
+        return true;
+    };
+    constexpr double kMaxCount = 9007199254740992.0; // 2^53
     opts.host = args.str("host", opts.host);
-    opts.port = static_cast<std::uint16_t>(args.num("port", 0));
-    opts.maxConnections = static_cast<std::size_t>(
-        args.num("max-conn", static_cast<double>(opts.maxConnections)));
     opts.idleTimeoutMs = static_cast<int>(
         args.num("idle-ms", opts.idleTimeoutMs));
-    opts.maxBatch = static_cast<std::size_t>(args.num(
-        "max-batch", static_cast<double>(opts.maxBatch)));
-    opts.cache.capacity = static_cast<std::size_t>(args.num(
-        "cache", static_cast<double>(opts.cache.capacity)));
+    if (!whole("port", opts.port, 0, 65535) ||
+        !whole("max-conn", opts.maxConnections, 1, kMaxCount) ||
+        !whole("max-batch", opts.maxBatch, 1, kMaxCount) ||
+        !whole("cache", opts.cache.capacity, 0, kMaxCount))
+        return std::nullopt;
     return opts;
 }
 
@@ -628,10 +649,14 @@ cmdServe(const Args &args)
         std::fputs("serve: --model is required\n", stderr);
         return 2;
     }
+    std::optional<serve::ServeOptions> options =
+        serveOptionsFromArgs(args);
+    if (!options)
+        return 2;
     auto bundle = std::make_shared<serve::ModelBundle>(
         serve::ModelBundle::load(model_path));
 
-    serve::EventServer server(serveOptionsFromArgs(args));
+    serve::EventServer server(std::move(*options));
     server.deploy(bundle);
 
     // --lifecycle: hang the controller off the observation sink so
@@ -718,85 +743,6 @@ cmdServe(const Args &args)
                     static_cast<unsigned long long>(ls.rollbacks),
                     controller->digest().c_str(),
                     static_cast<unsigned long long>(server.version()));
-    }
-    return 0;
-}
-
-int
-cmdBenchServe(const Args &args)
-{
-    if (args.has("help")) {
-        std::puts(
-            "wcnn bench-serve --model MODEL.bundle [--clients N] "
-            "[--requests N]\n"
-            "                 [--pipeline N] [--max-batch N] "
-            "[--cache N] [--key-pool N]\n"
-            "\n"
-            "Measures TCP serving throughput: per-request baseline "
-            "vs micro-batched,\n"
-            "and (with --cache) a cache-warm pass.");
-        return 0;
-    }
-    const std::string model_path = args.str("model", "");
-    if (model_path.empty()) {
-        std::fputs("bench-serve: --model is required\n", stderr);
-        return 2;
-    }
-    auto bundle = std::make_shared<serve::ModelBundle>(
-        serve::ModelBundle::load(model_path));
-
-    serve::LoadgenOptions load;
-    load.clients = static_cast<std::size_t>(args.num("clients", 8));
-    load.requestsPerClient =
-        static_cast<std::size_t>(args.num("requests", 200));
-    load.pipeline = static_cast<std::size_t>(args.num("pipeline", 16));
-    load.seed = static_cast<std::uint64_t>(args.num("seed", 42));
-
-    const auto max_batch =
-        static_cast<std::size_t>(args.num("max-batch", 64));
-    const auto cache_capacity =
-        static_cast<std::size_t>(args.num("cache", 0));
-
-    const auto run = [&](const char *label, std::size_t batch_rows,
-                         bool coalesce, std::size_t cache_cap,
-                         std::size_t key_pool) {
-        serve::ServeOptions opts;
-        opts.maxConnections = load.clients + 4;
-        opts.maxBatch = batch_rows;
-        opts.coalesceFrames = coalesce;
-        opts.cache.capacity = cache_cap;
-        serve::EventServer server(std::move(opts));
-        server.deploy(bundle);
-        server.start();
-        serve::LoadgenOptions shaped = load;
-        shaped.keyPoolSize = key_pool;
-        const serve::LoadgenReport report = serve::runTcpLoad(
-            "127.0.0.1", server.port(), bundle->inputDim(), shaped);
-        server.stop();
-        std::printf("%-14s %9.0f req/s   p50 %8.1f us   p99 %8.1f us"
-                    "   errors %zu\n",
-                    label, report.throughputRps, report.p50Us,
-                    report.p99Us, report.errors);
-        std::fflush(stdout);
-        return report;
-    };
-
-    std::printf("bench-serve: %zu clients x %zu requests, "
-                "pipeline %zu\n",
-                load.clients, load.requestsPerClient, load.pipeline);
-    const auto baseline = run("per-request", 1, false, 0, 0);
-    const auto batched = run("micro-batched", max_batch, true, 0, 0);
-    if (baseline.throughputRps > 0.0)
-        std::printf("micro-batching speedup: %.2fx\n",
-                    batched.throughputRps / baseline.throughputRps);
-    if (cache_capacity > 0) {
-        const auto key_pool = static_cast<std::size_t>(
-            args.num("key-pool", 64));
-        const auto cached = run("cached", max_batch, true,
-                                cache_capacity, key_pool);
-        if (batched.throughputRps > 0.0)
-            std::printf("cache speedup over micro-batched: %.2fx\n",
-                        cached.throughputRps / batched.throughputRps);
     }
     return 0;
 }
@@ -969,7 +915,6 @@ usage()
         "  surface     sweep and classify a (default, web) slice\n"
         "  recommend   rank configurations by a scoring function\n"
         "  serve       run the TCP inference server on a bundle\n"
-        "  bench-serve measure serving throughput and latency\n"
         "  lifecycle   replay a journaled observation stream "
         "offline\n"
         "\n"
@@ -1033,8 +978,6 @@ main(int argc, char **argv)
             return cmdRecommend(args);
         if (cmd == "serve")
             return cmdServe(args);
-        if (cmd == "bench-serve")
-            return cmdBenchServe(args);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "wcnn %s: %s\n", cmd.c_str(), e.what());
         return 1;
